@@ -10,11 +10,18 @@
 // scale). Config.Key is a content hash that ignores the display Name,
 // so two experiments that describe the same machine under different
 // labels share one simulation; the cached Result carries the Machine
-// name of whichever request ran it first. Concurrent requests for the
-// same key are collapsed singleflight-style: the first caller
-// simulates, later callers block and receive the same
-// *pipeline.Result. Because the simulator is deterministic, memoization
-// also makes sweep output independent of the pool's parallelism.
+// name of whichever request ran it first. Because the simulator is
+// deterministic, memoization also makes sweep output independent of
+// the pool's parallelism.
+//
+// Every table the engine keeps — exact results, sampled estimates,
+// instruction counts, workload hashes, traces and sampled-run plans —
+// is one memo type (memo.go). Concurrent requests for the same key are
+// collapsed singleflight-style: the first caller computes, later
+// callers block and receive the same value. Deterministic failures
+// stay memoized. The trace and plan tables share one byte budget
+// (SetTraceBudget) with LRU eviction across both; once no computation
+// is in flight their resident bytes never exceed it.
 //
 // # Persistent store
 //

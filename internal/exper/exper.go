@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -34,33 +33,23 @@ const emuChunk = 1 << 20
 type Runner struct {
 	sem chan struct{}
 
-	mu   sync.Mutex
-	sims map[simKey]*flight[*pipeline.Result]
+	sims    *memo[simKey, *pipeline.Result]
+	sampled *memo[sampleKey, *sample.Result]
+	counts  *memo[countKey, uint64]
+	wkeys   *memo[countKey, string]
 
-	pmu     sync.Mutex
-	sampled map[sampleKey]*flight[*sample.Result]
-
-	cmu    sync.Mutex
-	counts map[countKey]*flight[uint64]
+	// Decode-once tables (see trace.go): recorded traces per
+	// (benchmark, scale) and sampled-run plans per (benchmark, scale,
+	// regime), sharing one byte budget and LRU order.
+	decode *budget
+	traces *memo[countKey, *emu.Trace]
+	plans  *memo[planKey, *sample.Plan]
 
 	omu           sync.Mutex
 	observers     []func(Progress)
 	progressEvery uint64
 
 	store atomic.Pointer[store.Store]
-
-	wmu   sync.Mutex
-	wkeys map[countKey]string
-
-	// Decode-once caches (see trace.go): recorded traces per
-	// (benchmark, scale) and sampled-run plans per (benchmark, scale,
-	// regime), sharing one byte budget and LRU clock under tmu.
-	tmu         sync.Mutex
-	traces      map[countKey]*cacheEntry
-	plans       map[planKey]*cacheEntry
-	traceBudget int64
-	traceBytes  int64
-	traceClock  uint64
 
 	memHits         atomic.Uint64
 	storeHits       atomic.Uint64
@@ -115,69 +104,15 @@ type countKey struct {
 	scale int
 }
 
-// flight is one singleflight slot: the leader (the caller that created
-// the entry) computes the value and closes done; waiters block on done.
-type flight[V any] struct {
-	done chan struct{}
-	val  V
-	err  error
+// storeKey maps each memo key to its persistent-store key, given the
+// workload's content hash w.
+func (k simKey) storeKey(w string) store.Key { return store.ExactKey(k.cfg, k.bench, k.scale, w) }
+
+func (k sampleKey) storeKey(w string) store.Key {
+	return store.SampledKey(k.cfg, k.bench, k.scale, k.sampling, w)
 }
 
-// singleflight collapses concurrent calls for the same key k of m into
-// one execution of do, cancellation-safely. The first caller to claim
-// the slot (the leader) runs do; waiters block until it finishes or
-// their own ctx dies. A leader that fails with a context-shaped error
-// vacates the slot before waking waiters, so the work is not poisoned:
-// a live waiter retries and takes over as the new leader. Deterministic
-// failures stay memoized — rerunning them cannot help. leader reports
-// whether this call executed do itself.
-func singleflight[K comparable, V any](ctx context.Context, mu *sync.Mutex, m map[K]*flight[V], k K, do func(context.Context) (V, error)) (val V, leader bool, err error) {
-	var zero V
-	for {
-		if err := ctx.Err(); err != nil {
-			return zero, false, err
-		}
-		mu.Lock()
-		e, ok := m[k]
-		if !ok {
-			e = &flight[V]{done: make(chan struct{})}
-			m[k] = e
-		}
-		mu.Unlock()
-
-		if !ok {
-			v, err := do(ctx)
-			if err != nil {
-				if ctxErr(err) {
-					mu.Lock()
-					delete(m, k)
-					mu.Unlock()
-				}
-				e.err = err
-				close(e.done)
-				return zero, true, err
-			}
-			e.val = v
-			close(e.done)
-			return v, true, nil
-		}
-
-		select {
-		case <-e.done:
-			if e.err == nil {
-				return e.val, false, nil
-			}
-			if ctxErr(e.err) {
-				// The previous leader was canceled, not the work:
-				// retry, and take over if the slot is still vacant.
-				continue
-			}
-			return zero, false, e.err
-		case <-ctx.Done():
-			return zero, false, ctx.Err()
-		}
-	}
-}
+func (k countKey) storeKey(w string) store.Key { return store.CountKey(k.bench, k.scale, w) }
 
 // NewRunner builds an engine whose worker pool admits at most
 // parallelism concurrent simulations (0 = GOMAXPROCS).
@@ -185,15 +120,21 @@ func NewRunner(parallelism int) *Runner {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
+	decode := &budget{limit: DefaultTraceBudget}
 	return &Runner{
-		sem:           make(chan struct{}, parallelism),
-		sims:          map[simKey]*flight[*pipeline.Result]{},
-		sampled:       map[sampleKey]*flight[*sample.Result]{},
-		counts:        map[countKey]*flight[uint64]{},
-		wkeys:         map[countKey]string{},
-		traces:        map[countKey]*cacheEntry{},
-		plans:         map[planKey]*cacheEntry{},
-		traceBudget:   DefaultTraceBudget,
+		sem:     make(chan struct{}, parallelism),
+		sims:    newMemo[simKey, *pipeline.Result](nil, nil),
+		sampled: newMemo[sampleKey, *sample.Result](nil, nil),
+		counts:  newMemo[countKey, uint64](nil, nil),
+		wkeys:   newMemo[countKey, string](nil, nil),
+		decode:  decode,
+		traces: newMemo[countKey, *emu.Trace](decode, func(tr *emu.Trace) int64 {
+			if tr == nil {
+				return 0 // negative cache: the workload is simulated live
+			}
+			return int64(tr.Bytes())
+		}),
+		plans:         newMemo[planKey, *sample.Plan](decode, func(p *sample.Plan) int64 { return int64(p.Bytes()) }),
 		progressEvery: DefaultProgressInterval,
 		retryAttempts: defaultRetryAttempts,
 		retryBase:     defaultRetryBase,
@@ -290,12 +231,7 @@ func (s Stats) String() string {
 
 // Stats returns a snapshot of the runner's counters.
 func (r *Runner) Stats() Stats {
-	r.tmu.Lock()
-	resident := r.traceBytes
-	r.tmu.Unlock()
-	if resident < 0 {
-		resident = 0
-	}
+	_, resident := r.decode.current()
 	return Stats{
 		Simulations:     r.runs.Load(),
 		MemHits:         r.memHits.Load(),
@@ -394,50 +330,44 @@ func effectiveScale(b *workloads.Benchmark, scale int) int {
 	return scale
 }
 
-// ctxErr reports whether err is the shape a canceled or expired context
-// produces — the class of singleflight-leader failure that a waiter can
-// recover from by re-running the work itself.
-func ctxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
 // workloadKey returns the content hash identifying bench's generated
 // source at scale (already effective), memoized per (benchmark, scale).
 // Folding it into every store key means editing a kernel invalidates
 // its stored results instead of silently serving stale ones — the
 // benchmark name alone does not identify the work.
 func (r *Runner) workloadKey(bench *workloads.Benchmark, scale int) string {
-	k := countKey{bench: bench.Name, scale: scale}
-	r.wmu.Lock()
-	defer r.wmu.Unlock()
-	if w, ok := r.wkeys[k]; ok {
-		return w
-	}
-	sum := sha256.Sum256([]byte(bench.Source(scale)))
-	w := hex.EncodeToString(sum[:8])
-	r.wkeys[k] = w
+	w, _, _ := r.wkeys.get(context.Background(), countKey{bench: bench.Name, scale: scale}, func(context.Context) (string, error) {
+		sum := sha256.Sum256([]byte(bench.Source(scale)))
+		return hex.EncodeToString(sum[:8]), nil
+	})
 	return w
 }
 
-// storeGet consults the persistent store (when attached and not
-// degraded) for key k, decoding into out. Any failure — no store,
-// entry missing, entry corrupt, retries exhausted — reads as a miss;
-// a hit bumps the StoreHits counter.
-func (r *Runner) storeGet(ctx context.Context, k store.Key, out any) bool {
-	if !r.storeRead(ctx, k, out) {
-		return false
+// readThrough answers a memo miss through the persistent store. With a
+// store attached it first reads the entry key(w), w being the
+// workload's content hash; on a miss it runs compute and persists the
+// result best-effort (a store that cannot be written costs durability,
+// not correctness). Without a store it just runs compute, and a nil
+// compute makes a pure read. Any store failure — no store, degraded,
+// entry missing or corrupt, retries exhausted — reads as a miss. hit
+// reports a store answer, which each caller counts against its own
+// counter; wrote reports that a computed value is now durable.
+func readThrough[T any](ctx context.Context, r *Runner, bench *workloads.Benchmark, scale int, key func(w string) store.Key, compute func(context.Context) (*T, error)) (v *T, hit, wrote bool, err error) {
+	var sk store.Key
+	if r.store.Load() != nil {
+		sk = key(r.workloadKey(bench, scale))
+		v = new(T)
+		if r.storeRead(ctx, sk, v) {
+			return v, true, false, nil
+		}
 	}
-	r.storeHits.Add(1)
-	return true
-}
-
-// storePut persists a freshly computed value best-effort: a store that
-// cannot be written (disk full, permissions) costs durability, not
-// correctness, so failures degrade the store (after retries) without
-// failing the run. A zero key (no store was attached when the leader
-// started) is a no-op.
-func (r *Runner) storePut(ctx context.Context, k store.Key, v any) {
-	r.storeWrite(ctx, k, v)
+	if compute == nil {
+		return nil, false, false, nil
+	}
+	if v, err = compute(ctx); err != nil {
+		return nil, false, false, err
+	}
+	return v, false, r.storeWrite(ctx, sk, v), nil
 }
 
 // Run simulates bench at scale under cfg, returning the memoized result
@@ -459,21 +389,14 @@ func (r *Runner) Run(ctx context.Context, cfg pipeline.Config, bench *workloads.
 	scale = effectiveScale(bench, scale)
 	k := simKey{cfg: cfg.Key(), bench: bench.Name, scale: scale}
 
-	res, leader, err := singleflight(ctx, &r.mu, r.sims, k, protect(r, "cell "+k.bench+"/"+cfg.Name, func(ctx context.Context) (*pipeline.Result, error) {
-		var sk store.Key
-		if r.store.Load() != nil {
-			sk = store.ExactKey(k.cfg, k.bench, k.scale, r.workloadKey(bench, scale))
-			var cached pipeline.Result
-			if r.storeGet(ctx, sk, &cached) {
-				return &cached, nil
-			}
+	res, leader, err := r.sims.get(ctx, k, protect(r, "cell "+k.bench+"/"+cfg.Name, func(ctx context.Context) (*pipeline.Result, error) {
+		res, hit, _, err := readThrough(ctx, r, bench, scale, k.storeKey, func(ctx context.Context) (*pipeline.Result, error) {
+			return r.simulate(ctx, cfg, bench, scale)
+		})
+		if hit {
+			r.storeHits.Add(1)
 		}
-		res, err := r.simulate(ctx, cfg, bench, scale)
-		if err != nil {
-			return nil, err
-		}
-		r.storePut(ctx, sk, res)
-		return res, nil
+		return res, err
 	}))
 	if err == nil && !leader {
 		r.memHits.Add(1)
@@ -543,59 +466,61 @@ func (r *Runner) RunSampled(ctx context.Context, cfg pipeline.Config, bench *wor
 	scale = effectiveScale(bench, scale)
 	k := sampleKey{cfg: cfg.Key(), bench: bench.Name, scale: scale, sampling: sc.Key()}
 
-	res, leader, err := singleflight(ctx, &r.pmu, r.sampled, k, protect(r, "sampled cell "+k.bench+"/"+cfg.Name, func(ctx context.Context) (*sample.Result, error) {
-		var sk store.Key
-		if r.store.Load() != nil {
-			sk = store.SampledKey(k.cfg, k.bench, k.scale, k.sampling, r.workloadKey(bench, scale))
-			var cached sample.Result
-			if r.storeGet(ctx, sk, &cached) {
-				return &cached, nil
-			}
+	res, leader, err := r.sampled.get(ctx, k, protect(r, "sampled cell "+k.bench+"/"+cfg.Name, func(ctx context.Context) (*sample.Result, error) {
+		sr, hit, _, err := readThrough(ctx, r, bench, scale, k.storeKey, func(ctx context.Context) (*sample.Result, error) {
+			return r.sampleCell(ctx, cfg, bench, scale, sc)
+		})
+		if hit {
+			r.storeHits.Add(1)
 		}
-		// The counting pre-pass is shared: InstCount is memoized per
-		// (benchmark, scale), so every machine configuration sampling
-		// the same workload reuses one emulation of it. (Acquired
-		// before the pool slot below — InstCount takes its own slot.)
-		total, err := r.InstCount(ctx, bench, scale)
-		if err != nil {
-			return nil, err
-		}
-		select {
-		case r.sem <- struct{}{}:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		defer func() { <-r.sem }()
-		r.runs.Add(1)
-		wctx, stop := r.watchCell(ctx, "sampled cell "+bench.Name+"/"+cfg.Name)
-		defer stop()
-		if err := fault.InjectCtx(wctx, "exper.cell", bench.Name+"/"+cfg.Name); err != nil {
-			return nil, watchdogErr(wctx, err)
-		}
-		// The window plan (fast-forward + per-window checkpoints) is
-		// config-independent: build it once per (benchmark, scale,
-		// regime) and share it across every configuration of a sweep.
-		plan, err := r.planFor(wctx, bench, scale, sc, total)
-		if err != nil {
-			return nil, watchdogErr(wctx, err)
-		}
-		var sr *sample.Result
-		if plan != nil {
-			sr, err = sample.RunPlanned(wctx, cfg, bench.Program(scale), sc, plan)
-		} else {
-			sr, err = sample.RunTotal(wctx, cfg, bench.Program(scale), sc, total)
-		}
-		if err != nil {
-			return nil, watchdogErr(wctx, err)
-		}
-		sr.Scale = scale
-		r.storePut(ctx, sk, sr)
-		return sr, nil
+		return sr, err
 	}))
 	if err == nil && !leader {
 		r.memHits.Add(1)
 	}
 	return res, err
+}
+
+// sampleCell runs one sampled estimate under the worker pool.
+func (r *Runner) sampleCell(ctx context.Context, cfg pipeline.Config, bench *workloads.Benchmark, scale int, sc sample.Config) (*sample.Result, error) {
+	// The counting pre-pass is shared: InstCount is memoized per
+	// (benchmark, scale), so every machine configuration sampling the
+	// same workload reuses one emulation of it. (Acquired before the
+	// pool slot below — InstCount takes its own slot.)
+	total, err := r.InstCount(ctx, bench, scale)
+	if err != nil {
+		return nil, err
+	}
+	select {
+	case r.sem <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-r.sem }()
+	r.runs.Add(1)
+	wctx, stop := r.watchCell(ctx, "sampled cell "+bench.Name+"/"+cfg.Name)
+	defer stop()
+	if err := fault.InjectCtx(wctx, "exper.cell", bench.Name+"/"+cfg.Name); err != nil {
+		return nil, watchdogErr(wctx, err)
+	}
+	// The window plan (fast-forward + per-window checkpoints) is
+	// config-independent: build it once per (benchmark, scale, regime)
+	// and share it across every configuration of a sweep.
+	plan, err := r.planFor(wctx, bench, scale, sc, total)
+	if err != nil {
+		return nil, watchdogErr(wctx, err)
+	}
+	var sr *sample.Result
+	if plan != nil {
+		sr, err = sample.RunPlanned(wctx, cfg, bench.Program(scale), sc, plan)
+	} else {
+		sr, err = sample.RunTotal(wctx, cfg, bench.Program(scale), sc, total)
+	}
+	if err != nil {
+		return nil, watchdogErr(wctx, err)
+	}
+	sr.Scale = scale
+	return sr, nil
 }
 
 // InstCount returns bench's dynamic instruction count at scale from the
@@ -608,21 +533,18 @@ func (r *Runner) InstCount(ctx context.Context, bench *workloads.Benchmark, scal
 	scale = effectiveScale(bench, scale)
 	k := countKey{bench: bench.Name, scale: scale}
 
-	n, _, err := singleflight(ctx, &r.cmu, r.counts, k, protect(r, "count "+k.bench, func(ctx context.Context) (uint64, error) {
-		var sk store.Key
-		if r.store.Load() != nil {
-			sk = store.CountKey(k.bench, k.scale, r.workloadKey(bench, scale))
-			var cached store.Count
-			if r.storeGet(ctx, sk, &cached) {
-				return cached.Insts, nil
-			}
-		}
-		n, err := r.emulate(ctx, bench, scale)
+	n, _, err := r.counts.get(ctx, k, protect(r, "count "+k.bench, func(ctx context.Context) (uint64, error) {
+		c, hit, _, err := readThrough(ctx, r, bench, scale, k.storeKey, func(ctx context.Context) (*store.Count, error) {
+			n, err := r.emulate(ctx, bench, scale)
+			return &store.Count{Insts: n}, err
+		})
 		if err != nil {
 			return 0, err
 		}
-		r.storePut(ctx, sk, &store.Count{Insts: n})
-		return n, nil
+		if hit {
+			r.storeHits.Add(1)
+		}
+		return c.Insts, nil
 	}))
 	return n, err
 }

@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/pipeline"
 	"repro/internal/sample"
-	"repro/internal/store"
 	"repro/internal/workloads"
 )
 
@@ -174,28 +173,30 @@ func (r *Runner) SweepMerge(spec *SweepSpec, sc *sample.Config) (*SweepResult, [
 		}
 		scKey = n.Key()
 	}
+	ctx := context.Background()
 	cells := make([][]*pipeline.Result, len(benches))
 	var missing []string
 	for bi, b := range benches {
 		scale := effectiveScale(b, spec.Scale)
-		w := r.workloadKey(b, scale)
 		cells[bi] = make([]*pipeline.Result, len(cfgs))
 		for ci := range cfgs {
 			ck := cfgs[ci].Normalize().Key()
+			var cell *pipeline.Result
 			if sc != nil {
-				var sr sample.Result
-				if r.storeGet(context.Background(), store.SampledKey(ck, b.Name, scale, scKey, w), &sr) {
-					cells[bi][ci] = sr.Estimate()
-					continue
+				k := sampleKey{cfg: ck, bench: b.Name, scale: scale, sampling: scKey}
+				if sr, hit, _, _ := readThrough[sample.Result](ctx, r, b, scale, k.storeKey, nil); hit {
+					cell = sr.Estimate()
 				}
 			} else {
-				var res pipeline.Result
-				if r.storeGet(context.Background(), store.ExactKey(ck, b.Name, scale, w), &res) {
-					cells[bi][ci] = &res
-					continue
-				}
+				k := simKey{cfg: ck, bench: b.Name, scale: scale}
+				cell, _, _, _ = readThrough[pipeline.Result](ctx, r, b, scale, k.storeKey, nil)
 			}
-			missing = append(missing, fmt.Sprintf("%s@%d %s", b.Name, scale, cfgs[ci].Name))
+			if cell == nil {
+				missing = append(missing, fmt.Sprintf("%s@%d %s", b.Name, scale, cfgs[ci].Name))
+				continue
+			}
+			r.storeHits.Add(1)
+			cells[bi][ci] = cell
 		}
 	}
 	if len(missing) > 0 {

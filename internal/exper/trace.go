@@ -3,13 +3,14 @@ package exper
 // Decode-once caches: the engine-level layer that makes a sweep cell
 // cost one architectural pass instead of one per machine configuration.
 //
-// Two caches live here, sharing one memory budget and one LRU clock:
+// Two memo tables (see memo.go) live here, sharing one byte budget and
+// one LRU order:
 //
-//   - the trace cache, keyed by (benchmark, effective scale): the
+//   - the trace table, keyed by (benchmark, effective scale): the
 //     program's full dynamic instruction stream (emu.Record), replayed
 //     by every exact simulation of that workload through
 //     pipeline.NewReplay instead of re-driving a live emulator;
-//   - the plan cache, keyed by (benchmark, effective scale, sampling
+//   - the plan table, keyed by (benchmark, effective scale, sampling
 //     regime): the config-independent window schedule of a sampled run
 //     (sample.BuildPlan) — one whole-program fast-forward with a
 //     checkpoint per window — replayed by every configuration through
@@ -17,11 +18,14 @@ package exper
 //     so this is what turns an N-config sampled sweep cell into 1
 //     architectural pass + N cheap window sets.
 //
-// Both caches use the same leader/waiter collapse as the result caches
-// (one recording no matter how many configurations ask at once), and
-// both degrade gracefully: a workload whose trace would not fit the
-// budget is negative-cached and simulated live, and SetTraceBudget(0)
-// turns the whole layer off.
+// Being memo tables, both collapse concurrent requests onto one
+// leader (one recording no matter how many configurations ask at
+// once), and both keep the budget invariant: once no leader is in
+// flight, resident bytes never exceed max(budget, 0). A trace or plan
+// that does not fit is handed to the callers that asked for it and
+// then dropped. A workload whose trace would exceed the budget aborts
+// its recording and is negative-cached (a nil trace, charged 0 bytes)
+// and simulated live; SetTraceBudget(0) turns the whole layer off.
 
 import (
 	"context"
@@ -44,42 +48,10 @@ const DefaultTraceBudget = 256 << 20
 // and releases everything resident: simulations drive live emulators
 // and sampled runs fast-forward per configuration, exactly as if the
 // caches did not exist. Shrinking the budget evicts least-recently
-// used entries until the resident bytes fit.
+// used entries until the resident bytes fit, and a recording or plan
+// that finishes after the budget shrank is retained only if it fits.
 func (r *Runner) SetTraceBudget(bytes int64) {
-	r.tmu.Lock()
-	defer r.tmu.Unlock()
-	r.traceBudget = bytes
-	if bytes <= 0 {
-		for k, e := range r.traces {
-			if e.ready {
-				r.traceBytes -= int64(e.bytes)
-				delete(r.traces, k)
-			}
-		}
-		for k, e := range r.plans {
-			if e.ready {
-				r.traceBytes -= int64(e.bytes)
-				delete(r.plans, k)
-			}
-		}
-		return
-	}
-	r.evictLocked(nil)
-}
-
-// cacheEntry is one slot of the trace or plan cache. done/err follow
-// the singleflight protocol (leader computes, waiters block on done);
-// ready, bytes and use are guarded by Runner.tmu and drive the shared
-// LRU budget. A ready trace entry with a nil trace is the negative
-// cache: the workload exceeded the budget and is simulated live.
-type cacheEntry struct {
-	done  chan struct{}
-	err   error
-	tr    *emu.Trace
-	plan  *sample.Plan
-	ready bool
-	bytes uint64
-	use   uint64
+	r.decode.setLimit(bytes)
 }
 
 type planKey struct {
@@ -88,58 +60,8 @@ type planKey struct {
 	sampling string
 }
 
-// touchLocked bumps the entry's LRU clock. Callers hold tmu.
-func (r *Runner) touchLocked(e *cacheEntry) {
-	r.traceClock++
-	e.use = r.traceClock
-}
-
-// evictLocked drops ready entries in LRU order until the resident
-// bytes fit the budget, never evicting keep (the entry being
-// installed). Callers hold tmu.
-func (r *Runner) evictLocked(keep *cacheEntry) {
-	for r.traceBytes > r.traceBudget {
-		var (
-			oldest  *cacheEntry
-			oldPlan planKey
-			isPlan  bool
-			tk      countKey
-		)
-		for k, e := range r.traces {
-			if e.ready && e != keep && (oldest == nil || e.use < oldest.use) {
-				oldest, tk, isPlan = e, k, false
-			}
-		}
-		for k, e := range r.plans {
-			if e.ready && e != keep && (oldest == nil || e.use < oldest.use) {
-				oldest, oldPlan, isPlan = e, k, true
-			}
-		}
-		if oldest == nil {
-			return
-		}
-		if isPlan {
-			delete(r.plans, oldPlan)
-		} else {
-			delete(r.traces, tk)
-		}
-		r.traceBytes -= int64(oldest.bytes)
-	}
-}
-
-// publishLocked installs a completed entry's accounting: marks it
-// ready, charges its bytes to the shared gauge (only while the entry
-// is still the one resident under its slot — a concurrent
-// SetTraceBudget(0) may have dropped it), and evicts older entries to
-// fit. Callers hold tmu.
-func (r *Runner) publishLocked(e, resident *cacheEntry, bytes uint64) {
-	e.ready = true
-	e.bytes = bytes
-	r.touchLocked(e)
-	if resident == e {
-		r.traceBytes += int64(bytes)
-		r.evictLocked(e)
-	}
+func (k planKey) storeKey(w string) store.Key {
+	return store.PlanKey(k.bench, k.scale, k.sampling, w)
 }
 
 // traceFor returns the recorded dynamic stream for bench at scale,
@@ -149,88 +71,39 @@ func (r *Runner) publishLocked(e, resident *cacheEntry, bytes uint64) {
 // the caller falls back to live emulation. Call with a worker-pool
 // slot held: the leader records under the caller's slot.
 func (r *Runner) traceFor(ctx context.Context, bench *workloads.Benchmark, scale int) (*emu.Trace, error) {
-	k := countKey{bench: bench.Name, scale: scale}
-	for {
-		if err := ctx.Err(); err != nil {
+	limit, _ := r.decode.current()
+	if limit <= 0 {
+		return nil, nil
+	}
+	tr, leader, err := r.traces.get(ctx, countKey{bench: bench.Name, scale: scale}, func(ctx context.Context) (*emu.Trace, error) {
+		tr, err := recordSafe(ctx, bench, scale, uint64(limit)/emu.DynInstBytes)
+		switch {
+		case err != nil && (ctxErr(err) || fault.AsPanic(err) != nil):
+			// A canceled recording hands off to a waiter. A panicking
+			// recorder is a broken workload, not an over-budget one:
+			// memoize the failure (waiters and retries fail fast)
+			// instead of negative-caching it as "simulate live", which
+			// would re-panic per config.
 			return nil, err
-		}
-		r.tmu.Lock()
-		budget := r.traceBudget
-		if budget <= 0 {
-			r.tmu.Unlock()
+		case err != nil:
+			// The program does not fit the budget: negative-cache the
+			// fact so later configurations skip straight to live
+			// emulation without re-recording.
 			return nil, nil
 		}
-		e, ok := r.traces[k]
-		if !ok {
-			e = &cacheEntry{done: make(chan struct{})}
-			r.traces[k] = e
-		}
-		r.tmu.Unlock()
-
-		if !ok {
-			maxInsts := uint64(budget) / emu.DynInstBytes
-			tr, err := recordSafe(ctx, bench, scale, maxInsts)
-			switch {
-			case err != nil && ctxErr(err):
-				r.tmu.Lock()
-				if r.traces[k] == e {
-					delete(r.traces, k)
-				}
-				r.tmu.Unlock()
-				e.err = err
-				close(e.done)
-				return nil, err
-			case err != nil && fault.AsPanic(err) != nil:
-				// A panicking recorder is a broken workload, not an
-				// over-budget one: memoize the failure (waiters and
-				// retries fail fast) instead of negative-caching it as
-				// "simulate live", which would re-panic per config.
-				e.err = err
-				close(e.done)
-				return nil, err
-			case err != nil:
-				// The program does not fit the budget: negative-cache
-				// the fact so later configurations skip straight to
-				// live emulation without re-recording.
-				r.tmu.Lock()
-				r.publishLocked(e, r.traces[k], 0)
-				r.tmu.Unlock()
-				close(e.done)
-				return nil, nil
-			}
-			r.traceRecords.Add(1)
-			r.tmu.Lock()
-			e.tr = tr
-			r.publishLocked(e, r.traces[k], tr.Bytes())
-			r.tmu.Unlock()
-			close(e.done)
-			// A complete trace is also an exact instruction count
-			// (HALT is the final record): seed the count memo so
-			// sampled runs of this workload skip their counting pass.
-			r.seedCount(bench, scale, uint64(tr.Len()))
-			return tr, nil
-		}
-
-		select {
-		case <-e.done:
-			if e.err != nil {
-				if ctxErr(e.err) {
-					continue // leader canceled; take over
-				}
-				return nil, e.err
-			}
-			if e.tr == nil {
-				return nil, nil // negative-cached: too big
-			}
-			r.traceHits.Add(1)
-			r.tmu.Lock()
-			r.touchLocked(e)
-			r.tmu.Unlock()
-			return e.tr, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+		r.traceRecords.Add(1)
+		return tr, nil
+	})
+	switch {
+	case tr != nil && leader:
+		// A complete trace is also an exact instruction count (HALT is
+		// the final record): seed the count memo so sampled runs of
+		// this workload skip their counting pass.
+		r.seedCount(ctx, bench, scale, uint64(tr.Len()))
+	case tr != nil:
+		r.traceHits.Add(1)
 	}
+	return tr, err
 }
 
 // planFor returns the sampled-run window plan for (bench, scale, sc),
@@ -248,104 +121,49 @@ func (r *Runner) traceFor(ctx context.Context, bench *workloads.Benchmark, scale
 // torn mid-write, or written by a build with a different plan codec —
 // are misses: the leader rebuilds and the Put heals the entry.
 func (r *Runner) planFor(ctx context.Context, bench *workloads.Benchmark, scale int, sc sample.Config, totalInsts uint64) (*sample.Plan, error) {
-	k := planKey{bench: bench.Name, scale: scale, sampling: sc.Key()}
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r.tmu.Lock()
-		if r.traceBudget <= 0 {
-			r.tmu.Unlock()
-			return nil, nil
-		}
-		e, ok := r.plans[k]
-		if !ok {
-			e = &cacheEntry{done: make(chan struct{})}
-			r.plans[k] = e
-		}
-		r.tmu.Unlock()
-
-		if !ok {
-			var sk store.Key
-			if r.store.Load() != nil {
-				sk = store.PlanKey(k.bench, k.scale, k.sampling, r.workloadKey(bench, scale))
-				var cached sample.Plan
-				if r.storeRead(ctx, sk, &cached) {
-					r.planStoreHits.Add(1)
-					r.tmu.Lock()
-					e.plan = &cached
-					r.publishLocked(e, r.plans[k], cached.Bytes())
-					r.tmu.Unlock()
-					close(e.done)
-					return &cached, nil
-				}
-			}
-			plan, err := buildPlanSafe(ctx, bench, scale, sc, totalInsts)
-			if err != nil {
-				if ctxErr(err) {
-					r.tmu.Lock()
-					if r.plans[k] == e {
-						delete(r.plans, k)
-					}
-					r.tmu.Unlock()
-				}
-				e.err = err
-				close(e.done)
-				return nil, err
-			}
-			r.planBuilds.Add(1)
-			if r.storeWrite(ctx, sk, plan) {
-				r.planStoreWrites.Add(1)
-			}
-			r.tmu.Lock()
-			e.plan = plan
-			r.publishLocked(e, r.plans[k], plan.Bytes())
-			r.tmu.Unlock()
-			close(e.done)
-			return plan, nil
-		}
-
-		select {
-		case <-e.done:
-			if e.err != nil {
-				if ctxErr(e.err) {
-					continue
-				}
-				return nil, e.err
-			}
-			r.planHits.Add(1)
-			r.tmu.Lock()
-			r.touchLocked(e)
-			r.tmu.Unlock()
-			return e.plan, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	if limit, _ := r.decode.current(); limit <= 0 {
+		return nil, nil
 	}
+	k := planKey{bench: bench.Name, scale: scale, sampling: sc.Key()}
+	plan, leader, err := r.plans.get(ctx, k, func(ctx context.Context) (*sample.Plan, error) {
+		plan, hit, wrote, err := readThrough(ctx, r, bench, scale, k.storeKey, func(ctx context.Context) (*sample.Plan, error) {
+			plan, err := buildPlanSafe(ctx, bench, scale, sc, totalInsts)
+			if err == nil {
+				r.planBuilds.Add(1)
+			}
+			return plan, err
+		})
+		if hit {
+			r.planStoreHits.Add(1)
+		}
+		if wrote {
+			r.planStoreWrites.Add(1)
+		}
+		return plan, err
+	})
+	if err == nil && !leader {
+		r.planHits.Add(1)
+	}
+	return plan, err
 }
 
 // seedCount installs a known-exact instruction count into the count
-// memo (and the persistent store) without an emulation pass — used
-// when a full trace recording has already established it.
-func (r *Runner) seedCount(bench *workloads.Benchmark, scale int, n uint64) {
+// memo (and the persistent store, unless it already holds the entry)
+// without an emulation pass — used when a full trace recording has
+// already established it.
+func (r *Runner) seedCount(ctx context.Context, bench *workloads.Benchmark, scale int, n uint64) {
 	k := countKey{bench: bench.Name, scale: scale}
-	r.cmu.Lock()
-	_, ok := r.counts[k]
-	if !ok {
-		e := &flight[uint64]{done: make(chan struct{}), val: n}
-		close(e.done)
-		r.counts[k] = e
-	}
-	r.cmu.Unlock()
-	if !ok && r.store.Load() != nil {
-		r.storePut(context.Background(), store.CountKey(k.bench, k.scale, r.workloadKey(bench, scale)), &store.Count{Insts: n})
+	if r.counts.put(k, n) {
+		readThrough(ctx, r, bench, scale, k.storeKey, func(context.Context) (*store.Count, error) {
+			return &store.Count{Insts: n}, nil
+		})
 	}
 }
 
 // recordSafe is emu.Record behind a panic-containment boundary: a
 // recorder that panics (a broken generated workload, an injected
-// fault) yields a *PanicError for this workload's cells instead of
-// killing the process with trace-cache waiters wedged on done.
+// fault) yields a memoized *PanicError for this workload's cells
+// instead of killing the process.
 func recordSafe(ctx context.Context, bench *workloads.Benchmark, scale int, maxInsts uint64) (tr *emu.Trace, err error) {
 	defer fault.CatchPanic(&err, "trace "+bench.Name)
 	return emu.Record(ctx, bench.Program(scale), maxInsts)

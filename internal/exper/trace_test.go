@@ -2,11 +2,13 @@ package exper
 
 import (
 	"context"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/pipeline"
 	"repro/internal/sample"
+	"repro/internal/store"
 	"repro/internal/workloads"
 )
 
@@ -54,10 +56,7 @@ func TestSweepDecodesOnce(t *testing.T) {
 
 	// The recording doubles as the instruction count: sampling this
 	// workload must not need a counting pass.
-	r.cmu.Lock()
-	_, seeded := r.counts[countKey{bench: b.Name, scale: 1}]
-	r.cmu.Unlock()
-	if !seeded {
+	if !resident(r.counts, countKey{bench: b.Name, scale: 1}) {
 		t.Error("trace recording did not seed the instruction-count memo")
 	}
 }
@@ -180,5 +179,70 @@ func TestSetTraceBudgetReleases(t *testing.T) {
 	mustRun(t, r, pipeline.DefaultConfig().Baseline(), b, 1)
 	if st := r.Stats(); st.TraceRecords != 1 {
 		t.Errorf("TraceRecords = %d, want 1 (no re-recording after disable)", st.TraceRecords)
+	}
+}
+
+// blockingFS is the real filesystem, except that reading path signals
+// entered and then blocks until release is closed.
+type blockingFS struct {
+	store.FS
+	path    string
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (f *blockingFS) ReadFile(name string) ([]byte, error) {
+	if name == f.path {
+		close(f.entered)
+		<-f.release
+	}
+	return f.FS.ReadFile(name)
+}
+
+// TestTraceBudgetShrinkDuringBuild: a plan whose leader is still
+// building when SetTraceBudget(0) lands is handed to its caller but not
+// retained — once no leader is in flight, the resident bytes fit the
+// budget. The plan leader is held on its store read, before the build.
+func TestTraceBudgetShrinkDuringBuild(t *testing.T) {
+	ctx := context.Background()
+	b := bench(t, "mgd")
+	cfg := pipeline.DefaultConfig()
+	sc := sample.DefaultConfig()
+
+	// Learn where the plan entry lives from a throwaway store.
+	probe := openStore(t)
+	if _, err := storeRunner(probe).RunSampled(ctx, cfg, b, 1, sc); err != nil {
+		t.Fatal(err)
+	}
+	rel, err := filepath.Rel(probe.Dir(), planEntry(t, probe).Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	fsys := &blockingFS{FS: store.OSFS(), path: filepath.Join(dir, rel),
+		entered: make(chan struct{}), release: make(chan struct{})}
+	st, err := store.OpenFS(dir, fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := storeRunner(st)
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.RunSampled(ctx, cfg, b, 1, sc)
+		done <- err
+	}()
+	select {
+	case <-fsys.entered:
+	case err := <-done:
+		t.Fatalf("RunSampled returned before reading the plan entry: %v", err)
+	}
+	r.SetTraceBudget(0)
+	close(fsys.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if s := r.Stats(); s.PlanBuilds != 1 || s.TraceBytes != 0 {
+		t.Errorf("stats = %+v, want 1 plan built and 0 bytes resident under a zero budget", s)
 	}
 }

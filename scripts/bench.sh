@@ -4,7 +4,7 @@
 # B/op, allocs/op, insts/s, and the figures' suite-geomean speedups).
 #
 # Usage:
-#   scripts/bench.sh                      # full suite -> BENCH_6.json
+#   scripts/bench.sh                      # full suite -> BENCH_local.json
 #   BENCH_PATTERN='BenchmarkPipeline.*' \
 #   BENCHTIME=5x COUNT=1 OUT=out.json scripts/bench.sh
 #
@@ -12,7 +12,10 @@
 #   BENCH_PATTERN  -bench regex            (default: . — the whole suite)
 #   BENCHTIME      -benchtime per bench    (default: 1x)
 #   COUNT          -count repetitions      (default: 1)
-#   OUT            output JSON path        (default: BENCH_6.json)
+#   OUT            output JSON path        (default: BENCH_local.json,
+#                                           untracked; BENCH_6.json is the
+#                                           committed baseline bench_gate.sh
+#                                           compares against)
 #
 # The JSON shape is stable for CI consumption:
 #   { "generated": "...", "go": "...", "pattern": "...",
@@ -26,7 +29,7 @@ cd "$(dirname "$0")/.."
 BENCH_PATTERN="${BENCH_PATTERN:-.}"
 BENCHTIME="${BENCHTIME:-1x}"
 COUNT="${COUNT:-1}"
-OUT="${OUT:-BENCH_6.json}"
+OUT="${OUT:-BENCH_local.json}"
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
