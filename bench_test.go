@@ -292,10 +292,11 @@ func BenchmarkSweepExactReplay(b *testing.B) { benchSweepExact(b, exper.DefaultT
 func BenchmarkSweepExactLive(b *testing.B)   { benchSweepExact(b, 0) }
 
 // sweepSampledScale sizes the sampled sweep workload (mgd) to ~4.5M
-// dynamic instructions, where the whole-program fast-forward dominates
-// per-configuration sampled-run cost — the regime sampled simulation
-// exists for, and the one where sharing the window plan across the
-// config axis pays.
+// dynamic instructions. The plan's whole-program fast-forward is paid
+// once and shared by all 30 configurations, so per-configuration cost
+// is each window's functional warming and detailed timing, which do
+// not grow with program length — the regime sampled simulation exists
+// for.
 const sweepSampledScale = 64
 
 // benchSweepSampled times a 30-config sampled sweep cell over mgd.
@@ -330,6 +331,54 @@ func benchSweepSampled(b *testing.B, budget int64) {
 
 func BenchmarkSweepSampledPlanned(b *testing.B)   { benchSweepSampled(b, exper.DefaultTraceBudget) }
 func BenchmarkSweepSampledPerConfig(b *testing.B) { benchSweepSampled(b, 0) }
+
+// BenchmarkSweepSampledMatrix times a 30-config sampled sweep through
+// SampledMatrix: four programs, one per behavior class, at default
+// scale, under ten window sizes in each of three cache/predictor
+// geometries. Each row's configs are walked window-major, and the
+// configs sharing a geometry share each window's functional warming.
+// The runner is rebuilt each iteration so every iteration pays the
+// plan builds too.
+func BenchmarkSweepSampledMatrix(b *testing.B) {
+	var benches []*workloads.Benchmark
+	for _, name := range []string{"mgd", "gcc", "tst", "cra"} {
+		bench, _ := workloads.ByName(name)
+		benches = append(benches, bench)
+	}
+	var cfgs []pipeline.Config
+	for i := 0; i < 30; i++ {
+		cfg := pipeline.DefaultConfig()
+		cfg.WindowSize = 64 + 8*(i/3)
+		switch i % 3 {
+		case 1:
+			cfg.Caches.L1D.SizeB = 16 << 10
+			cfg.BPred.IndexBits, cfg.BPred.HistoryBits = 14, 14
+		case 2:
+			cfg.Caches.L1D.SizeB, cfg.Caches.L1D.Assoc = 64<<10, 4
+			cfg.Caches.L2.SizeB = 512 << 10
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	sc := sample.DefaultConfig()
+	b.ResetTimer()
+	var total uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r := exper.NewRunner(0)
+		b.StartTimer()
+		cells, err := r.SampledMatrix(context.Background(), benches, cfgs, 0, sc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		total = 0
+		for _, row := range cells {
+			for _, res := range row {
+				total += res.Retired
+			}
+		}
+	}
+	b.ReportMetric(float64(total)*float64(b.N)/b.Elapsed().Seconds(), "insts/s")
+}
 
 // BenchmarkOptimizerRename isolates the rename/optimize stage: one
 // instruction stream renamed with full optimization, no timing model.

@@ -104,6 +104,25 @@ func (p *Predictor) Clone() *Predictor {
 	}
 }
 
+// CopyFrom overwrites p's tables, history and return stack with src's
+// and resets p's statistics, leaving p equal to src.Clone() without
+// allocating. It copies nothing and reports false when the two are
+// configured differently.
+func (p *Predictor) CopyFrom(src *Predictor) bool {
+	if p.cfg != src.cfg {
+		return false
+	}
+	p.history = src.history
+	copy(p.pht, src.pht)
+	copy(p.btbTag, src.btbTag)
+	copy(p.btbTgt, src.btbTgt)
+	copy(p.btbOK, src.btbOK)
+	copy(p.ras, src.ras)
+	p.rasTop = src.rasTop
+	p.Lookups, p.DirMisses, p.TgtMisses = 0, 0, 0
+	return true
+}
+
 // Prediction is the front end's guess for one branch.
 type Prediction struct {
 	// Taken is the predicted direction (always true for unconditional

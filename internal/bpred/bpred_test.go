@@ -1,6 +1,7 @@
 package bpred
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/isa"
@@ -245,5 +246,23 @@ func TestPredictDoesNotTrain(t *testing.T) {
 	}
 	if pred := p.Predict(100, isa.BNE, false); pred.Taken {
 		t.Error("Predict alone must not move counters")
+	}
+}
+
+// TestCopyFromMatchesClone: copying into a used predictor of the same
+// configuration leaves exactly what Clone would build, statistics
+// included, and a predictor configured otherwise is left alone.
+func TestCopyFromMatchesClone(t *testing.T) {
+	src, dst := New(bimodal()), New(bimodal())
+	train(src, 100, isa.BNE, true, 42, 10)
+	train(src, 300, isa.JSR, true, 500, 3)
+	train(dst, 200, isa.BEQ, false, 0, 10)
+	if !dst.CopyFrom(src) || !reflect.DeepEqual(dst, src.Clone()) {
+		t.Error("CopyFrom does not match Clone")
+	}
+	other := New(DefaultConfig())
+	before := other.Clone()
+	if other.CopyFrom(src) || !reflect.DeepEqual(other, before) {
+		t.Error("CopyFrom across configurations copied")
 	}
 }

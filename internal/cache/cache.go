@@ -130,6 +130,21 @@ func (c *Cache) Clone() *Cache {
 	}
 }
 
+// CopyFrom overwrites c's tag/valid/LRU state with src's and resets
+// c's statistics, leaving c equal to src.Clone() without allocating.
+// It copies nothing and reports false when the two are configured
+// differently.
+func (c *Cache) CopyFrom(src *Cache) bool {
+	if c.cfg != src.cfg {
+		return false
+	}
+	copy(c.tags, src.tags)
+	copy(c.valid, src.valid)
+	copy(c.lru, src.lru)
+	c.Accesses, c.Misses = 0, 0
+	return true
+}
+
 // Probe reports whether addr is resident without updating any state.
 func (c *Cache) Probe(addr uint64) bool {
 	set, tag := c.index(addr)
@@ -195,6 +210,13 @@ func (h *Hierarchy) Clone() *Hierarchy {
 		L2:         h.L2.Clone(),
 		MemLatency: h.MemLatency,
 	}
+}
+
+// CopyFrom overwrites every level with src's (see Cache.CopyFrom),
+// reporting false when the hierarchies are configured differently.
+func (h *Hierarchy) CopyFrom(src *Hierarchy) bool {
+	return h.MemLatency == src.MemLatency &&
+		h.L1I.CopyFrom(src.L1I) && h.L1D.CopyFrom(src.L1D) && h.L2.CopyFrom(src.L2)
 }
 
 // InstFetch returns the latency of fetching the instruction line at addr.

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -174,5 +175,36 @@ func TestQuickAgainstReferenceLRU(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCopyFromMatchesClone: copying into a used cache of the same
+// geometry leaves exactly what Clone would build, statistics included,
+// and a cache of another geometry is left alone.
+func TestCopyFromMatchesClone(t *testing.T) {
+	src, dst := small(), small()
+	for a := uint64(0); a < 1024; a += 48 {
+		src.Access(a)
+	}
+	for a := uint64(0); a < 512; a += 16 {
+		dst.Access(a * 3)
+	}
+	if !dst.CopyFrom(src) || !reflect.DeepEqual(dst, src.Clone()) {
+		t.Errorf("CopyFrom left %+v, want the clone %+v", dst, src.Clone())
+	}
+	other := New(Config{Name: "t", SizeB: 256, Assoc: 2, LineB: 16, Latency: 2})
+	before := other.Clone()
+	if other.CopyFrom(src) || !reflect.DeepEqual(other, before) {
+		t.Error("CopyFrom across geometries copied")
+	}
+
+	h, g := NewHierarchy(DefaultHierarchyConfig()), NewHierarchy(DefaultHierarchyConfig())
+	for a := uint64(0); a < 1<<16; a += 200 {
+		h.DataAccess(a)
+		h.InstFetch(a * 7)
+		g.DataAccess(a * 5)
+	}
+	if !g.CopyFrom(h) || !reflect.DeepEqual(g, h.Clone()) {
+		t.Error("Hierarchy.CopyFrom does not match Hierarchy.Clone")
 	}
 }

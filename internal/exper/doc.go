@@ -61,7 +61,12 @@
 // windows (internal/sample) instead of exact runs. Sampled results are
 // memoized in their own cache, keyed additionally by the sampling
 // regime, so an exact result and a sampled estimate of the same triple
-// can never collide — in memory or in the store. Engine-level progress
+// can never collide — in memory or in the store. SampledMatrix (and so
+// SweepSampled and the harness) simulates each benchmark row's missing
+// cells as one group that warms each window once per cache/predictor
+// geometry (sample.RunPlannedGroup); every cell is still memoized,
+// stored and counted on its own, and its estimate is the one a lone
+// RunSampled call produces. Engine-level progress
 // observers apply to exact simulations only: a sampled run's detailed
 // windows are hundreds of instructions each — orders of magnitude
 // shorter than a telemetry interval — so no interval would ever close

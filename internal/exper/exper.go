@@ -179,7 +179,10 @@ func (r *Runner) SetStore(st *store.Store) {
 // (recording a dynamic stream; building a sampled window plan), and
 // TraceHits/PlanHits the simulations that reused one — a 30-config
 // sweep cell at full effectiveness is {TraceRecords: 1, TraceHits:
-// 29}. PlanStoreHits counts plan-cache misses answered by the
+// 29}. Sampled cells fetch plans per group — a lone RunSampled cell or
+// a SampledMatrix row — so a 30-config sampled row is {PlanBuilds: 1,
+// PlanHits: 0}, and 30 lone cells are {PlanBuilds: 1, PlanHits: 29}.
+// PlanStoreHits counts plan-cache misses answered by the
 // persistent store instead of a build, and PlanStoreWrites plans
 // persisted after a build (both always 0 without SetStore): a sampled
 // sweep sharded across processes is the pattern {PlanBuilds: 1 in one
@@ -353,11 +356,9 @@ func (r *Runner) workloadKey(bench *workloads.Benchmark, scale int) string {
 // reports a store answer, which each caller counts against its own
 // counter; wrote reports that a computed value is now durable.
 func readThrough[T any](ctx context.Context, r *Runner, bench *workloads.Benchmark, scale int, key func(w string) store.Key, compute func(context.Context) (*T, error)) (v *T, hit, wrote bool, err error) {
-	var sk store.Key
 	if r.store.Load() != nil {
-		sk = key(r.workloadKey(bench, scale))
 		v = new(T)
-		if r.storeRead(ctx, sk, v) {
+		if r.storeRead(ctx, key(r.workloadKey(bench, scale)), v) {
 			return v, true, false, nil
 		}
 	}
@@ -367,7 +368,16 @@ func readThrough[T any](ctx context.Context, r *Runner, bench *workloads.Benchma
 	if v, err = compute(ctx); err != nil {
 		return nil, false, false, err
 	}
-	return v, false, r.storeWrite(ctx, sk, v), nil
+	return v, false, r.persist(ctx, bench, scale, key, v), nil
+}
+
+// persist writes v under key(w) best-effort when a store is attached,
+// reporting whether the entry is now durable.
+func (r *Runner) persist(ctx context.Context, bench *workloads.Benchmark, scale int, key func(w string) store.Key, v any) bool {
+	if r.store.Load() == nil {
+		return false
+	}
+	return r.storeWrite(ctx, key(r.workloadKey(bench, scale)), v)
 }
 
 // Run simulates bench at scale under cfg, returning the memoized result
@@ -419,7 +429,7 @@ func (r *Runner) simulate(ctx context.Context, cfg pipeline.Config, bench *workl
 	defer func() { <-r.sem }()
 	r.runs.Add(1)
 	op := "cell " + bench.Name + "/" + cfg.Name
-	wctx, stop := r.watchCell(ctx, op)
+	wctx, stop := r.watchCell(ctx, op, 1)
 	defer stop()
 	if err := fault.InjectCtx(wctx, "exper.cell", bench.Name+"/"+cfg.Name); err != nil {
 		return nil, watchdogErr(wctx, err)
@@ -453,7 +463,8 @@ func (r *Runner) simulate(ctx context.Context, cfg pipeline.Config, bench *workl
 // estimates and exact results never collide. The persistent store, when
 // attached, mirrors the same disjointness: sampled entries carry the
 // regime key. Cancellation semantics match Run: a canceled leader hands
-// the slot to a live waiter.
+// the slot to a live waiter. A lone cell is simulated as a group of one
+// (see SampledMatrix), which does exactly sample.RunPlanned's work.
 func (r *Runner) RunSampled(ctx context.Context, cfg pipeline.Config, bench *workloads.Benchmark, scale int, sc sample.Config) (*sample.Result, error) {
 	cfg = cfg.Normalize()
 	if err := cfg.Validate(); err != nil {
@@ -466,61 +477,218 @@ func (r *Runner) RunSampled(ctx context.Context, cfg pipeline.Config, bench *wor
 	scale = effectiveScale(bench, scale)
 	k := sampleKey{cfg: cfg.Key(), bench: bench.Name, scale: scale, sampling: sc.Key()}
 
-	res, leader, err := r.sampled.get(ctx, k, protect(r, "sampled cell "+k.bench+"/"+cfg.Name, func(ctx context.Context) (*sample.Result, error) {
-		sr, hit, _, err := readThrough(ctx, r, bench, scale, k.storeKey, func(ctx context.Context) (*sample.Result, error) {
-			return r.sampleCell(ctx, cfg, bench, scale, sc)
-		})
-		if hit {
-			r.storeHits.Add(1)
-		}
-		return sr, err
-	}))
+	res, leader, err := r.sampled.get(ctx, k, func(ctx context.Context) (*sample.Result, error) {
+		res, errs := r.leadSampled(ctx, bench, scale, sc, []pipeline.Config{cfg}, []sampleKey{k})
+		return res[0], errs[0]
+	})
 	if err == nil && !leader {
 		r.memHits.Add(1)
 	}
 	return res, err
 }
 
-// sampleCell runs one sampled estimate under the worker pool.
-func (r *Runner) sampleCell(ctx context.Context, cfg pipeline.Config, bench *workloads.Benchmark, scale int, sc sample.Config) (*sample.Result, error) {
-	// The counting pre-pass is shared: InstCount is memoized per
-	// (benchmark, scale), so every machine configuration sampling the
-	// same workload reuses one emulation of it. (Acquired before the
-	// pool slot below — InstCount takes its own slot.)
-	total, err := r.InstCount(ctx, bench, scale)
-	if err != nil {
-		return nil, err
+// sampledRow is RunSampled for every config of one benchmark row (cfgs
+// and sc normalized, scale effective). The row leads the cells no
+// caller holds yet and computes them together (leadSampled); the
+// others are resident or in flight elsewhere and are awaited through
+// RunSampled, exactly as lone calls would be.
+func (r *Runner) sampledRow(ctx context.Context, bench *workloads.Benchmark, scale int, sc sample.Config, cfgs []pipeline.Config) ([]*sample.Result, error) {
+	var (
+		lead  []int
+		keys  []sampleKey
+		slots []*slot[*sample.Result]
+	)
+	for i, cfg := range cfgs {
+		k := sampleKey{cfg: cfg.Key(), bench: bench.Name, scale: scale, sampling: sc.Key()}
+		if s, ok := r.sampled.claim(k); ok {
+			lead, keys, slots = append(lead, i), append(keys, k), append(slots, s)
+		}
 	}
-	select {
-	case r.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	res, errs := make([]*sample.Result, len(lead)), make([]error, len(lead))
+	for j := range errs {
+		errs[j] = errAbandoned
 	}
-	defer func() { <-r.sem }()
-	r.runs.Add(1)
-	wctx, stop := r.watchCell(ctx, "sampled cell "+bench.Name+"/"+cfg.Name)
-	defer stop()
-	if err := fault.InjectCtx(wctx, "exper.cell", bench.Name+"/"+cfg.Name); err != nil {
-		return nil, watchdogErr(wctx, err)
+	func() {
+		// Settle the claimed slots before awaiting any other cell, since
+		// a row's duplicate configs wait on its own slots. A slot still
+		// abandoned (a panic escaped) vacates its key for a waiter.
+		defer func() {
+			for j, s := range slots {
+				r.sampled.finish(keys[j], s, res[j], errs[j])
+			}
+		}()
+		res, errs = r.leadSampled(ctx, bench, scale, sc, pick(cfgs, lead), keys)
+	}()
+	out := make([]*sample.Result, len(cfgs))
+	for j, i := range lead {
+		if errs[j] != nil {
+			return nil, errs[j]
+		}
+		out[i] = res[j]
 	}
-	// The window plan (fast-forward + per-window checkpoints) is
-	// config-independent: build it once per (benchmark, scale, regime)
-	// and share it across every configuration of a sweep.
-	plan, err := r.planFor(wctx, bench, scale, sc, total)
-	if err != nil {
-		return nil, watchdogErr(wctx, err)
+	for i, cfg := range cfgs {
+		if out[i] != nil {
+			continue
+		}
+		var err error
+		if out[i], err = r.RunSampled(ctx, cfg, bench, scale, sc); err != nil {
+			return nil, err
+		}
 	}
-	var sr *sample.Result
-	if plan != nil {
-		sr, err = sample.RunPlanned(wctx, cfg, bench.Program(scale), sc, plan)
-	} else {
-		sr, err = sample.RunTotal(wctx, cfg, bench.Program(scale), sc, total)
+	return out, nil
+}
+
+// leadSampled produces the sampled cells cfgs of bench, keyed by keys,
+// whose memo slots the caller leads, returning each cell's estimate or
+// error. Store hits answer their cells; the rest are simulated as one
+// warm-sharing group (sample.RunPlannedGroup) and persisted one by
+// one. An exper.cell fault fails its one cell; anything that fails the
+// group — a window's error or panic, a watchdog kill, cancellation, a
+// panic here — fails every cell not yet answered. Every *PanicError
+// returned counts as one recovered panic.
+//
+// The group runs one window at a time on each worker-pool slot it
+// holds: its own, plus whichever slots are idle when its windows
+// start, so a lone row can use the whole pool while a busy pool never
+// has more windows in flight than slots.
+func (r *Runner) leadSampled(ctx context.Context, bench *workloads.Benchmark, scale int, sc sample.Config, cfgs []pipeline.Config, keys []sampleKey) (out []*sample.Result, errs []error) {
+	out, errs = make([]*sample.Result, len(cfgs)), make([]error, len(cfgs))
+	var gerr error
+	defer func() {
+		for i := range errs {
+			if out[i] == nil && errs[i] == nil {
+				errs[i] = gerr
+			}
+			r.notePanic(errs[i])
+		}
+	}()
+	op := "sampled " + groupOp(bench, cfgs)
+	defer fault.CatchPanic(&gerr, op)
+
+	var miss []int
+	for i, k := range keys {
+		if sr, hit, _, _ := readThrough[sample.Result](ctx, r, bench, scale, k.storeKey, nil); hit {
+			r.storeHits.Add(1)
+			out[i] = sr
+		} else {
+			miss = append(miss, i)
+		}
 	}
-	if err != nil {
-		return nil, watchdogErr(wctx, err)
+	if len(miss) == 0 {
+		return out, errs
 	}
-	sr.Scale = scale
-	return sr, nil
+	var live []int
+	gerr = func() error {
+		// The counting pre-pass is shared: InstCount is memoized per
+		// (benchmark, scale), so every machine configuration sampling
+		// the same workload reuses one emulation of it. (Acquired
+		// before the pool slot below — InstCount takes its own slot.)
+		total, err := r.InstCount(ctx, bench, scale)
+		if err != nil {
+			return err
+		}
+		select {
+		case r.sem <- struct{}{}:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		defer func() { <-r.sem }()
+		r.runs.Add(uint64(len(miss)))
+		wctx, stop := r.watchCell(ctx, op, len(miss))
+		defer stop()
+		for _, i := range miss {
+			if errs[i] = watchdogErr(wctx, injectCell(wctx, bench.Name+"/"+cfgs[i].Name)); errs[i] == nil {
+				live = append(live, i)
+			}
+		}
+		if len(live) == 0 {
+			return nil
+		}
+		// The window plan (fast-forward + per-window checkpoints) is
+		// config-independent: build it once per (benchmark, scale,
+		// regime) and share it across every configuration of a sweep.
+		plan, err := r.planFor(wctx, bench, scale, sc, total)
+		if err == nil && plan == nil {
+			// The plan cache is disabled: plan for this group alone.
+			plan, err = buildPlanSafe(wctx, bench, scale, sc, total)
+		}
+		if err != nil {
+			return watchdogErr(wctx, err)
+		}
+		units := len(plan.Windows)
+		if plan.Period == 0 || units == 0 {
+			units = len(live) // too short to sample: one exact run per config
+		}
+		workers, release := r.borrowSlots(units, sc.Workers)
+		defer release()
+		scw := sc
+		scw.Workers = workers
+		res, err := sample.RunPlannedGroup(wctx, pick(cfgs, live), bench.Program(scale), scw, plan)
+		if err != nil {
+			return watchdogErr(wctx, err)
+		}
+		for j, i := range live {
+			res[j].Scale, res[j].Sampling = scale, sc
+			out[i] = res[j]
+		}
+		return nil
+	}()
+	for _, i := range live {
+		if out[i] != nil {
+			r.persist(ctx, bench, scale, keys[i].storeKey, out[i])
+		}
+	}
+	return out, errs
+}
+
+// borrowSlots takes idle worker-pool slots, without waiting, for a
+// caller that already holds one, until it holds n (capped at limit
+// when limit > 0). It returns how many slots the caller now holds and
+// a release for the borrowed ones.
+func (r *Runner) borrowSlots(n, limit int) (held int, release func()) {
+	if limit > 0 && n > limit {
+		n = limit
+	}
+	held = 1
+take:
+	for held < n {
+		select {
+		case r.sem <- struct{}{}:
+			held++
+		default:
+			break take
+		}
+	}
+	return held, func() {
+		for i := 1; i < held; i++ {
+			<-r.sem
+		}
+	}
+}
+
+// groupOp names a group of cells of bench for diagnostics: the cell
+// itself when it is alone.
+func groupOp(bench *workloads.Benchmark, cfgs []pipeline.Config) string {
+	if len(cfgs) == 1 {
+		return "cell " + bench.Name + "/" + cfgs[0].Name
+	}
+	return fmt.Sprintf("row %s (%d cells)", bench.Name, len(cfgs))
+}
+
+// injectCell evaluates the exper.cell fault point for one sampled
+// cell, containing an injected panic as that cell's *PanicError.
+func injectCell(ctx context.Context, key string) (err error) {
+	defer fault.CatchPanic(&err, "sampled cell "+key)
+	return fault.InjectCtx(ctx, "exper.cell", key)
+}
+
+// pick returns xs[idx[0]], xs[idx[1]], ...
+func pick[T any](xs []T, idx []int) []T {
+	out := make([]T, len(idx))
+	for j, i := range idx {
+		out[j] = xs[i]
+	}
+	return out
 }
 
 // InstCount returns bench's dynamic instruction count at scale from the
@@ -576,56 +744,87 @@ func (r *Runner) emulate(ctx context.Context, bench *workloads.Benchmark, scale 
 // cancellation) Matrix cancels the remaining cells, waits for every
 // worker goroutine to exit, and returns the first error observed.
 func (r *Runner) Matrix(ctx context.Context, benches []*workloads.Benchmark, cfgs []pipeline.Config, scale int) ([][]*pipeline.Result, error) {
-	return r.matrix(ctx, benches, cfgs, func(ctx context.Context, cfg pipeline.Config, b *workloads.Benchmark) (*pipeline.Result, error) {
-		return r.Run(ctx, cfg, b, scale)
+	out := make([][]*pipeline.Result, len(benches))
+	for i := range out {
+		out[i] = make([]*pipeline.Result, len(cfgs))
+	}
+	err := fanOut(ctx, len(benches)*len(cfgs), func(ctx context.Context, j int) (err error) {
+		i, c := j/len(cfgs), j%len(cfgs)
+		out[i][c], err = r.Run(ctx, cfgs[c], benches[i], scale)
+		return err
 	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // SampledMatrix is Matrix under sampled simulation: every cell is a
 // RunSampled estimate rendered as a whole-run pipeline.Result (Sampled
 // set, Cycles estimated, event counters extrapolated), so artifact
 // formatting over the cells is identical to the exact path.
+//
+// Rows run concurrently, and each row's cells that are neither cached
+// nor in flight elsewhere are simulated as one group: the row's plan is
+// fetched once and walked window-major, and configs sharing a cache
+// and predictor geometry share each window's functional warming (see
+// sample.RunPlannedGroup). Every cell still goes through the sampled
+// memo and the store, so deduplication, store entries, Stats and the
+// estimates themselves are exactly those of per-cell RunSampled calls.
 func (r *Runner) SampledMatrix(ctx context.Context, benches []*workloads.Benchmark, cfgs []pipeline.Config, scale int, sc sample.Config) ([][]*pipeline.Result, error) {
-	return r.matrix(ctx, benches, cfgs, func(ctx context.Context, cfg pipeline.Config, b *workloads.Benchmark) (*pipeline.Result, error) {
-		sr, err := r.RunSampled(ctx, cfg, b, scale, sc)
-		if err != nil {
+	norm := make([]pipeline.Config, len(cfgs))
+	for i, cfg := range cfgs {
+		norm[i] = cfg.Normalize()
+		if err := norm[i].Validate(); err != nil {
 			return nil, err
 		}
-		return sr.Estimate(), nil
+	}
+	sc = sc.Normalize()
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	out := make([][]*pipeline.Result, len(benches))
+	err := fanOut(ctx, len(benches), func(ctx context.Context, i int) error {
+		b := benches[i]
+		row, err := r.sampledRow(ctx, b, effectiveScale(b, scale), sc, norm)
+		if err != nil {
+			return err
+		}
+		out[i] = make([]*pipeline.Result, len(row))
+		for c, sr := range row {
+			out[i][c] = sr.Estimate()
+		}
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// matrix fans every (benchmark, config) cell out over the worker pool.
-func (r *Runner) matrix(ctx context.Context, benches []*workloads.Benchmark, cfgs []pipeline.Config, cell func(context.Context, pipeline.Config, *workloads.Benchmark) (*pipeline.Result, error)) ([][]*pipeline.Result, error) {
+// fanOut runs fn(ctx, i) for every i in [0, n), each on its own
+// goroutine. The first error cancels the others; fanOut waits for
+// every call to return and then reports that error.
+func fanOut(ctx context.Context, n int, fn func(context.Context, int) error) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	out := make([][]*pipeline.Result, len(benches))
 	var (
 		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
 	)
-	for i, b := range benches {
-		out[i] = make([]*pipeline.Result, len(cfgs))
-		for c := range cfgs {
-			wg.Add(1)
-			go func(i, c int, b *workloads.Benchmark) {
-				defer wg.Done()
-				res, err := cell(ctx, cfgs[c], b)
-				if err != nil {
-					errOnce.Do(func() {
-						firstErr = err
-						cancel()
-					})
-					return
-				}
-				out[i][c] = res
-			}(i, c, b)
-		}
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := fn(ctx, i); err != nil {
+				errOnce.Do(func() {
+					firstErr = err
+					cancel()
+				})
+			}
+		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+	return firstErr
 }

@@ -10,7 +10,8 @@ package exper
 // tables may share, and evicts least-recently-used values across all of
 // them. Invariant: resident bytes never exceed max(limit, 0), and a
 // value that cannot fit in an empty budget reaches its waiters but is
-// not kept.
+// not kept. A caller that computes several keys at once (a sampled
+// row) leads them through claim and settles each with finish.
 
 import (
 	"container/list"
@@ -108,15 +109,8 @@ func (m *memo[K, V]) get(ctx context.Context, k K, compute func(context.Context)
 		if err := ctx.Err(); err != nil {
 			return v, false, err
 		}
-		m.b.mu.Lock()
-		s, ok := m.slots[k]
-		if !ok {
-			s = &slot[V]{done: make(chan struct{})}
-			m.slots[k] = s
-		}
-		m.b.mu.Unlock()
-
-		if !ok {
+		s, lead := m.claim(k)
+		if lead {
 			v, err = m.lead(ctx, k, s, compute)
 			return v, true, err
 		}
@@ -140,28 +134,43 @@ func (m *memo[K, V]) get(ctx context.Context, k K, compute func(context.Context)
 	}
 }
 
+// claim returns k's slot. lead reports that k had none: the caller is
+// now k's leader and must settle the slot with finish on every path
+// (until then it reads as abandoned). Otherwise the slot is resident
+// or in flight, and get waits for it.
+func (m *memo[K, V]) claim(k K) (s *slot[V], lead bool) {
+	m.b.mu.Lock()
+	defer m.b.mu.Unlock()
+	if s, ok := m.slots[k]; ok {
+		return s, false
+	}
+	s = &slot[V]{done: make(chan struct{}), err: errAbandoned}
+	m.slots[k] = s
+	return s, true
+}
+
 // lead runs compute as k's leader and settles the slot on every path,
 // a panic included.
 func (m *memo[K, V]) lead(ctx context.Context, k K, s *slot[V], compute func(context.Context) (V, error)) (V, error) {
-	s.err = errAbandoned
 	defer m.settle(k, s)
 	s.val, s.err = compute(ctx)
 	return s.val, s.err
 }
 
+// finish settles a claimed slot with its outcome, as if computed.
+func (m *memo[K, V]) finish(k K, s *slot[V], v V, err error) {
+	s.val, s.err = v, err
+	m.settle(k, s)
+}
+
 // put installs v as k's value, as if computed, unless k already has a
 // slot (resident or in flight). It reports whether v was installed.
 func (m *memo[K, V]) put(k K, v V) bool {
-	m.b.mu.Lock()
-	if _, ok := m.slots[k]; ok {
-		m.b.mu.Unlock()
-		return false
+	s, lead := m.claim(k)
+	if lead {
+		m.finish(k, s, v, nil)
 	}
-	s := &slot[V]{done: make(chan struct{}), val: v}
-	m.slots[k] = s
-	m.b.mu.Unlock()
-	m.settle(k, s)
-	return true
+	return lead
 }
 
 // settle publishes a finished slot and wakes its waiters: a retryable

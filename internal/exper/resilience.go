@@ -103,9 +103,12 @@ func (r *Runner) SetStoreProbe(every time.Duration) {
 // SetWatchdog arms per-cell deadlines: a cell (exact simulation, or
 // the sampled planning+windows section) running longer than soft gets
 // a goroutine-dump diagnostic logged; one exceeding hard is canceled
-// with a *WatchdogError. Zero disables either deadline; both default
-// to disabled — simulation cost varies too much across workloads for
-// a universal limit, so this is operator policy, not engine policy.
+// with a *WatchdogError. A SampledMatrix row simulating n cells as one
+// group is watched as one operation with n times each deadline, and a
+// kill fails every cell of the group. Zero disables either deadline;
+// both default to disabled — simulation cost varies too much across
+// workloads for a universal limit, so this is operator policy, not
+// engine policy.
 func (r *Runner) SetWatchdog(soft, hard time.Duration) {
 	r.rmu.Lock()
 	defer r.rmu.Unlock()
@@ -261,23 +264,28 @@ func (r *Runner) storeWrite(ctx context.Context, k store.Key, v any) bool {
 // recovered panic arrives here as an error, not a panic).
 func protect[V any](r *Runner, op string, do func(context.Context) (V, error)) func(context.Context) (V, error) {
 	return func(ctx context.Context) (v V, err error) {
-		defer func() {
-			if pe := fault.AsPanic(err); pe != nil {
-				r.panicsRecovered.Add(1)
-				r.logf("exper: recovered panic in %s: %v\n%s", pe.Op, pe.Value, pe.Stack)
-			}
-		}()
+		defer func() { r.notePanic(err) }()
 		defer fault.CatchPanic(&err, op)
 		return do(ctx)
 	}
 }
 
-// watchCell arms the configured watchdog deadlines around one cell:
-// the returned context is what the cell must run under, and stop must
+// notePanic counts and logs a recovered panic surfacing as a cell's
+// outcome; any other error is ignored.
+func (r *Runner) notePanic(err error) {
+	if pe := fault.AsPanic(err); pe != nil {
+		r.panicsRecovered.Add(1)
+		r.logf("exper: recovered panic in %s: %v\n%s", pe.Op, pe.Value, pe.Stack)
+	}
+}
+
+// watchCell arms the configured watchdog deadlines around the work of
+// cells cells simulated together (each deadline scales by that count):
+// the returned context is what the work must run under, and stop must
 // be deferred. With no deadlines configured both are pass-throughs.
-func (r *Runner) watchCell(ctx context.Context, op string) (context.Context, func()) {
+func (r *Runner) watchCell(ctx context.Context, op string, cells int) (context.Context, func()) {
 	r.rmu.Lock()
-	soft, hard := r.watchSoft, r.watchHard
+	soft, hard := r.watchSoft*time.Duration(cells), r.watchHard*time.Duration(cells)
 	r.rmu.Unlock()
 	if soft <= 0 && hard <= 0 {
 		return ctx, func() {}

@@ -14,9 +14,9 @@ package exper
 //     regime): the config-independent window schedule of a sampled run
 //     (sample.BuildPlan) — one whole-program fast-forward with a
 //     checkpoint per window — replayed by every configuration through
-//     sample.RunPlanned. The fast-forward dominates sampled-run cost,
-//     so this is what turns an N-config sampled sweep cell into 1
-//     architectural pass + N cheap window sets.
+//     sample.RunPlannedGroup. This is what turns an N-config sampled
+//     sweep cell into 1 architectural pass + N window sets, and a
+//     SampledMatrix row fetches it once for all of its cells.
 //
 // Being memo tables, both collapse concurrent requests onto one
 // leader (one recording no matter how many configurations ask at
@@ -46,7 +46,7 @@ const DefaultTraceBudget = 256 << 20
 // SetTraceBudget replaces the memory budget (in bytes) for the trace
 // and plan caches. A budget <= 0 disables decode-once replay entirely
 // and releases everything resident: simulations drive live emulators
-// and sampled runs fast-forward per configuration, exactly as if the
+// and sampled runs fast-forward per group of cells, exactly as if the
 // caches did not exist. Shrinking the budget evicts least-recently
 // used entries until the resident bytes fit, and a recording or plan
 // that finishes after the budget shrank is retained only if it fits.

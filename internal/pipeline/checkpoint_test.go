@@ -5,6 +5,7 @@ package pipeline_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/emu"
@@ -204,5 +205,35 @@ func TestWarmedSeedingDoesNotChangeRetirement(t *testing.T) {
 	}
 	if coldRes.Cycles < res.Cycles {
 		t.Logf("note: cold run %d cycles, warmed %d (warming usually helps)", coldRes.Cycles, res.Cycles)
+	}
+}
+
+// TestStateIntoMatchesState: recycling a finished session's warm
+// structures yields exactly the state State would copy, without
+// allocating.
+func TestStateIntoMatchesState(t *testing.T) {
+	prog := benchProgram(t, "gcc").Program(1)
+	cfg := pipeline.DefaultConfig()
+	w := pipeline.NewWarmer(cfg)
+	m := emu.New(prog)
+	m.RunObserved(800, w.Observe)
+	ck := m.Snapshot()
+
+	ws := w.State()
+	s, err := pipeline.NewFromCheckpointWarmed(cfg, prog, ck, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(context.Background(), pipeline.RunOpts{MaxRetired: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(ws, w.State()) {
+		t.Fatal("the session left its warm state untouched; the test proves nothing")
+	}
+	if got := w.StateInto(ws); !reflect.DeepEqual(got, w.State()) {
+		t.Error("StateInto differs from State")
+	}
+	if n := testing.AllocsPerRun(5, func() { ws = w.StateInto(ws) }); n != 0 {
+		t.Errorf("StateInto allocated %.0f times, want 0", n)
 	}
 }

@@ -90,6 +90,17 @@ func (w *Warmer) State() WarmState {
 	return WarmState{caches: w.caches.Clone(), bp: w.bp.Clone()}
 }
 
+// StateInto is State without the allocation: it copies the warmer's
+// current contents into dst's structures and returns them. dst must be
+// used by no running session — typically it seeded a session that has
+// finished. A zero dst, or one of another geometry, gets a fresh copy.
+func (w *Warmer) StateInto(dst WarmState) WarmState {
+	if dst.caches != nil && dst.caches.CopyFrom(w.caches) && dst.bp.CopyFrom(w.bp) {
+		return dst
+	}
+	return w.State()
+}
+
 // Borrow hands out the warmer's own structures without copying: a
 // session seeded with them trains them exactly as a continuous detailed
 // run would, and the warmer keeps evolving the same state afterwards.

@@ -25,6 +25,23 @@
 // disables warming for regimes that prefer cheaper fast-forward and a
 // longer detailed warmup.
 //
+// # Group warming
+//
+// Warmed state depends only on a machine's cache hierarchy and branch
+// predictor configuration, not on the rest of the core. RunPlannedGroup
+// exploits that for a set of configurations sampling one program: it
+// walks the plan window-major, and for each window warms once per warm
+// group — the configurations whose (normalized) Caches and BPred are
+// equal — then seeds every member's detailed session from that warmed
+// state: a copy for each member but the last (Warmer.State, then
+// Warmer.StateInto the previous member's finished structures), the
+// warmer itself for the last. Copies reproduce cache and predictor
+// contents exactly and a Window carries no
+// cache or predictor statistics, so estimates are invariant under
+// grouping: every Result equals the one RunPlanned returns for the
+// same configuration alone, byte for byte. RunPlanned is the group of
+// one.
+//
 // # Determinism and caching
 //
 // Because the detailed model is trace-driven — it validates every

@@ -48,9 +48,11 @@ type Config struct {
 	// instructions of detailed warmup suffice.
 	ColdStart bool
 	// Workers bounds how many detailed windows run concurrently (0 =
-	// GOMAXPROCS). Windows are independent — each owns its checkpoint
-	// and warms its own cache/predictor clones from its trailing
-	// stretch — so the estimate is identical for any worker count;
+	// GOMAXPROCS); under RunPlannedGroup a worker runs one window for
+	// every config of the group before taking the next. Windows are
+	// independent — each owns its checkpoint and warms its own
+	// cache/predictor state from its trailing stretch — so the estimate
+	// is identical for any worker count and any grouping of configs;
 	// Workers is therefore excluded from Key.
 	Workers int
 }
@@ -428,9 +430,10 @@ func Run(ctx context.Context, cfg pipeline.Config, prog *emu.Program, sc Config)
 //
 // RunTotal is BuildPlan + RunPlanned: callers that sample the same
 // program under many machine configurations should build the
-// (config-independent) plan once and call RunPlanned per config — the
-// whole-program fast-forward is the dominant per-run cost, and the
-// plan pays it exactly once.
+// (config-independent) plan once, which pays the whole-program
+// fast-forward exactly once, and run the configs together through
+// RunPlannedGroup, which warms each window once per cache/predictor
+// geometry instead of once per config.
 func RunTotal(ctx context.Context, cfg pipeline.Config, prog *emu.Program, sc Config, totalInsts uint64) (*Result, error) {
 	sc = sc.Normalize()
 	plan, err := BuildPlan(ctx, prog, sc, totalInsts)
@@ -445,6 +448,9 @@ func RunTotal(ctx context.Context, cfg pipeline.Config, prog *emu.Program, sc Co
 // position in the stream. The checkpoint is never consumed (sessions
 // copy its memory image), so one plan serves any number of machine
 // configurations, and any number of workers concurrently.
+// RunPlannedGroup restores it once per warm group, warms over
+// [WarmFrom, Start) once, and seeds every member of the group from the
+// result.
 type PlanWindow struct {
 	// Index is the window's position in the schedule, from 0.
 	Index int
@@ -463,10 +469,10 @@ type PlanWindow struct {
 // Plan is the config-independent half of a sampled run: the window
 // schedule for one (program, sampling regime, total instruction count)
 // triple, with an architectural checkpoint per window. Building it
-// costs one raw fast-forward across the program — the dominant cost of
-// a sampled run — so the experiment engine caches plans and replays
-// them across every machine configuration of a sweep. A Plan is
-// read-only after BuildPlan and safe for concurrent use.
+// costs one raw fast-forward across the program, so the experiment
+// engine caches plans and replays them across every machine
+// configuration of a sweep. A Plan is read-only after BuildPlan and
+// safe for concurrent use.
 //
 // A Plan with Period == 0 schedules no windows: the program is too
 // short to sample and RunPlanned falls back to one exact detailed run.
@@ -558,68 +564,45 @@ func BuildPlan(ctx context.Context, prog *emu.Program, sc Config, totalInsts uin
 	return plan, nil
 }
 
-// runWindow executes one scheduled window under cfg: resume the
-// emulator at the checkpoint, warm fresh cache/predictor clones over
-// the [WarmFrom, Start) stretch (skipped under ColdStart, where the
-// checkpoint already sits at Start), seed a detailed session from the
-// warmed state, and run warmup + measured window. ok is false when the
-// program halts before yielding a measurable window.
-func runWindow(ctx context.Context, cfg pipeline.Config, prog *emu.Program, sc Config, pw PlanWindow) (w Window, ok bool, err error) {
-	var s *pipeline.Session
-	if pw.WarmFrom == pw.Start {
-		s, err = pipeline.NewFromCheckpoint(cfg, prog, pw.Ck)
-	} else {
-		m := emu.NewAt(prog, pw.Ck)
-		warmer := pipeline.NewWarmer(cfg)
-		if err := forward(ctx, m, pw.Start, warmer); err != nil {
-			return Window{}, false, err
-		}
-		if m.Halted() {
-			return Window{}, false, nil
-		}
-		// Borrow, not clone: the warmer is private to this window, and
-		// the session is the last user of its structures.
-		s, err = pipeline.NewFromCheckpointWarmed(cfg, prog, m.Snapshot(), warmer.Borrow())
-	}
-	if err != nil {
-		return Window{}, false, err
-	}
-	r, err := s.Run(ctx, pipeline.RunOpts{
-		MaxRetired:    sc.Warmup + sc.Window,
-		WarmupRetired: sc.Warmup,
-	})
-	if err != nil {
-		return Window{}, false, err
-	}
-	w, ok = windowOf(r, pw.Start, sc)
-	return w, ok, nil
-}
-
-// runWindowSafe is runWindow behind a containment boundary: a worker
-// that panics (or hits the sample.window fault point) fails its window
-// — and through the earliest-error rule, the run — without taking the
-// process or its sibling workers down. idx names the window in the
-// schedule; the fault key "program#idx" lets clauses target one window
-// of one workload.
-func runWindowSafe(ctx context.Context, cfg pipeline.Config, prog *emu.Program, sc Config, pw PlanWindow, idx int) (w Window, ok bool, err error) {
-	defer fault.CatchPanic(&err, fmt.Sprintf("sample: window %d of %s", idx, prog.Name))
-	if err := fault.InjectCtx(ctx, "sample.window", fmt.Sprintf("%s#%d", prog.Name, idx)); err != nil {
-		return Window{}, false, err
-	}
-	return runWindow(ctx, cfg, prog, sc, pw)
-}
-
 // RunPlanned executes plan's detailed windows under cfg and returns
-// the whole-run estimate. Windows are independent (each owns its
-// checkpoint and warms its own structures), so they are dispatched to
-// a pool of sc.Workers goroutines (0 = GOMAXPROCS) and merged
-// deterministically by schedule index — the Result is identical for
-// any worker count, byte for byte. The first window error cancels the
-// rest.
+// the whole-run estimate. It is RunPlannedGroup for one config: the
+// same windows, dispatched to the same pool of sc.Workers goroutines
+// and merged by schedule index, so the Result is identical for any
+// worker count, byte for byte.
 func RunPlanned(ctx context.Context, cfg pipeline.Config, prog *emu.Program, sc Config, plan *Plan) (*Result, error) {
-	cfg = cfg.Normalize()
-	if err := cfg.Validate(); err != nil {
+	res, err := RunPlannedGroup(ctx, []pipeline.Config{cfg}, prog, sc, plan)
+	if err != nil {
 		return nil, err
+	}
+	return res[0], nil
+}
+
+// RunPlannedGroup executes plan's detailed windows under every config
+// of cfgs and returns their estimates, parallel to cfgs. It runs the
+// plan window-major: for each window it restores the checkpoint, warms
+// one Warmer over [WarmFrom, Start) and snapshots the state at Start
+// once per warm group — the configs whose (normalized) Caches and BPred
+// are equal, taken in order of first appearance, since warmed state
+// depends on nothing else — and seeds every member's session from
+// that warmed state: a copy for each member but the last (Warmer.State
+// for the first, then Warmer.StateInto the previous member's finished
+// structures), while the last borrows the warmer itself. Copies
+// reproduce contents exactly and a Window carries no cache or
+// predictor statistics, so each Result is identical to RunPlanned's
+// for the same config: grouping changes the cost, never the estimate.
+// A group of one does exactly RunPlanned's work.
+//
+// Windows are independent, so they are dispatched to a pool of
+// sc.Workers goroutines (0 = GOMAXPROCS); each worker holds one window
+// — for the whole group — at a time. The first error, which fails the
+// whole group, cancels the rest.
+func RunPlannedGroup(ctx context.Context, cfgs []pipeline.Config, prog *emu.Program, sc Config, plan *Plan) ([]*Result, error) {
+	norm := make([]pipeline.Config, len(cfgs))
+	for i, cfg := range cfgs {
+		norm[i] = cfg.Normalize()
+		if err := norm[i].Validate(); err != nil {
+			return nil, err
+		}
 	}
 	sc = sc.Normalize()
 	if err := sc.Validate(); err != nil {
@@ -638,113 +621,228 @@ func RunPlanned(ctx context.Context, cfg pipeline.Config, prog *emu.Program, sc 
 		ctx = context.Background()
 	}
 
-	res := &Result{
-		Machine:    cfg.Name,
-		Program:    prog.Name,
-		ConfigKey:  cfg.Key(),
-		Sampling:   sc,
-		TotalInsts: plan.TotalInsts,
+	res := make([]*Result, len(norm))
+	for i, cfg := range norm {
+		res[i] = &Result{
+			Machine:    cfg.Name,
+			Program:    prog.Name,
+			ConfigKey:  cfg.Key(),
+			Sampling:   sc,
+			TotalInsts: plan.TotalInsts,
+		}
 	}
 	if plan.Period == 0 || len(plan.Windows) == 0 {
 		// Too short to sample (or totalInsts was overstated and no
-		// window fit): one exact detailed run, recorded as a single
-		// all-measured window.
-		if err := res.exactFallback(ctx, cfg, prog); err != nil {
+		// window fit): one exact detailed run per config, recorded as a
+		// single all-measured window.
+		err := forEach(ctx, len(norm), sc.Workers, func(ctx context.Context, i int) (err error) {
+			defer fault.CatchPanic(&err, fmt.Sprintf("sample: exact run of %s under %s", prog.Name, norm[i].Name))
+			return res[i].exactFallback(ctx, norm[i], prog)
+		})
+		if err != nil {
 			return nil, err
 		}
 		return res, nil
 	}
-	res.Period = plan.Period
 
-	type slot struct {
-		w  Window
-		ok bool
+	// Window i of every config lands in its Windows[i]; one that
+	// yields no measurable window (the program halts first) stays zero
+	// and is compacted away below.
+	for _, r := range res {
+		r.Windows = make([]Window, len(plan.Windows))
 	}
-	out := make([]slot, len(plan.Windows))
+	groups := warmGroups(norm)
+	err := forEach(ctx, len(plan.Windows), sc.Workers, func(ctx context.Context, i int) error {
+		return runWindow(ctx, norm, groups, prog, sc, plan.Windows[i], i, res)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for c, r := range res {
+		r.Period = plan.Period
+		n := 0
+		for _, w := range r.Windows {
+			if w.Retired == 0 {
+				continue
+			}
+			w.Index = n
+			r.Windows[n] = w
+			n++
+		}
+		r.Windows = r.Windows[:n]
+		if n == 0 {
+			// Defensive: every scheduled window fell inside a halt
+			// region; fall back to exact.
+			r.Period, r.Windows = 0, nil
+			if err := r.exactFallback(ctx, norm[c], prog); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		r.finalize()
+	}
+	return res, nil
+}
 
-	workers := sc.Workers
+// warmGroups partitions normalized configs into warm groups, in order
+// of first appearance: configs whose cache hierarchy and branch
+// predictor are configured alike reach identical warmed state.
+func warmGroups(cfgs []pipeline.Config) [][]int {
+	at := map[pipeline.Config]int{}
+	var groups [][]int
+	for i, cfg := range cfgs {
+		k := pipeline.Config{Caches: cfg.Caches, BPred: cfg.BPred}
+		g, ok := at[k]
+		if !ok {
+			g = len(groups)
+			at[k] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	return groups
+}
+
+// runWindow executes scheduled window pw (index idx) under every
+// config, one warm group at a time, storing config c's measurement in
+// res[c].Windows[idx]. It runs behind a containment boundary: a
+// window that panics (or hits the sample.window fault point) fails —
+// and through the earliest-error rule, the run — without taking the
+// process or its sibling workers down. The fault key "program#idx"
+// lets clauses target one window of one workload.
+func runWindow(ctx context.Context, cfgs []pipeline.Config, groups [][]int, prog *emu.Program, sc Config, pw PlanWindow, idx int, res []*Result) (err error) {
+	defer fault.CatchPanic(&err, fmt.Sprintf("sample: window %d of %s", idx, prog.Name))
+	if err := fault.InjectCtx(ctx, "sample.window", fmt.Sprintf("%s#%d", prog.Name, idx)); err != nil {
+		return err
+	}
+	for _, g := range groups {
+		if err := runGroupWindow(ctx, cfgs, g, prog, sc, pw, idx, res); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runGroupWindow runs window pw (index idx) for the members of one
+// warm group, filling their res[c].Windows[idx]: resume the emulator at
+// the checkpoint, warm one cache/predictor set over the [WarmFrom,
+// Start) stretch (skipped under ColdStart, where the checkpoint already
+// sits at Start), and seed each member's detailed session from the
+// warmed state for warmup + measured window.
+func runGroupWindow(ctx context.Context, cfgs []pipeline.Config, members []int, prog *emu.Program, sc Config, pw PlanWindow, idx int, res []*Result) error {
+	if pw.WarmFrom == pw.Start {
+		for _, c := range members {
+			s, err := pipeline.NewFromCheckpoint(cfgs[c], prog, pw.Ck)
+			if err != nil {
+				return err
+			}
+			if res[c].Windows[idx], err = detail(ctx, s, pw.Start, sc); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	m := emu.NewAt(prog, pw.Ck)
+	warmer := pipeline.NewWarmer(cfgs[members[0]])
+	if err := forward(ctx, m, pw.Start, warmer); err != nil {
+		return err
+	}
+	if m.Halted() {
+		return nil
+	}
+	ck := m.Snapshot()
+	var ws pipeline.WarmState
+	for j, c := range members {
+		// Each member but the last gets a copy of the warmed state,
+		// recycling the previous member's structures once its session
+		// has finished. The last borrows the warmer itself: the warmer
+		// is private to this window, and that session is the last user
+		// of its structures.
+		if j < len(members)-1 {
+			ws = warmer.StateInto(ws)
+		} else {
+			ws = warmer.Borrow()
+		}
+		s, err := pipeline.NewFromCheckpointWarmed(cfgs[c], prog, ck, ws)
+		if err != nil {
+			return err
+		}
+		if res[c].Windows[idx], err = detail(ctx, s, pw.Start, sc); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// detail runs a seeded session through warmup + measured window and
+// extracts the measured window (zero when there is none).
+func detail(ctx context.Context, s *pipeline.Session, start uint64, sc Config) (Window, error) {
+	r, err := s.Run(ctx, pipeline.RunOpts{
+		MaxRetired:    sc.Warmup + sc.Window,
+		WarmupRetired: sc.Warmup,
+	})
+	if err != nil {
+		return Window{}, err
+	}
+	return windowOf(r, start, sc), nil
+}
+
+// forEach runs job(ctx, i) for every i in [0, n) on a pool of workers
+// goroutines (0 = GOMAXPROCS; 1 runs inline). The first error cancels
+// the jobs not yet finished; the earliest-indexed error is returned,
+// so the reported failure does not depend on worker scheduling, and a
+// cancellation-induced error never masks the caller's own context
+// error. Jobs must contain their own panics.
+func forEach(ctx context.Context, n, workers int, job func(context.Context, int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(plan.Windows) {
-		workers = len(plan.Windows)
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 {
-		for i, pw := range plan.Windows {
-			w, ok, err := runWindowSafe(ctx, cfg, prog, sc, pw, i)
-			if err != nil {
-				return nil, err
+		for i := 0; i < n; i++ {
+			if err := job(ctx, i); err != nil {
+				return err
 			}
-			out[i] = slot{w, ok}
 		}
-	} else {
-		wctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		var (
-			next   atomic.Int64
-			wg     sync.WaitGroup
-			errMu  sync.Mutex
-			werr   error
-			werrAt = int64(len(plan.Windows))
-		)
-		for g := 0; g < workers; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := next.Add(1) - 1
-					if i >= int64(len(plan.Windows)) {
-						return
-					}
-					w, ok, err := runWindowSafe(wctx, cfg, prog, sc, plan.Windows[i], int(i))
-					if err != nil {
-						// Keep the earliest-indexed error so the
-						// reported failure does not depend on worker
-						// scheduling.
-						errMu.Lock()
-						if i < werrAt {
-							werrAt, werr = i, err
-						}
-						errMu.Unlock()
-						cancel()
-						return
-					}
-					out[i] = slot{w, ok}
+		return nil
+	}
+	wctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		next   atomic.Int64
+		wg     sync.WaitGroup
+		errMu  sync.Mutex
+		werr   error
+		werrAt = int64(n)
+	)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := next.Add(1) - 1
+				if i >= int64(n) {
+					return
 				}
-			}()
-		}
-		wg.Wait()
-		if werr != nil {
-			// A cancellation-induced error from a later window must not
-			// mask the caller's own context error.
-			if err := ctx.Err(); err != nil {
-				return nil, err
+				if err := job(wctx, int(i)); err != nil {
+					errMu.Lock()
+					if i < werrAt {
+						werrAt, werr = i, err
+					}
+					errMu.Unlock()
+					cancel()
+					return
+				}
 			}
-			return nil, werr
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+		}()
 	}
-
-	for _, s := range out {
-		if !s.ok {
-			continue
-		}
-		s.w.Index = len(res.Windows)
-		res.Windows = append(res.Windows, s.w)
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	if len(res.Windows) == 0 {
-		// Defensive: every scheduled window fell inside a halt region;
-		// fall back to exact.
-		res.Period = 0
-		if err := res.exactFallback(ctx, cfg, prog); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	res.finalize()
-	return res, nil
+	return werr
 }
 
 // exactFallback fills res with one exact detailed run of the whole
@@ -773,13 +871,14 @@ func (r *Result) exactFallback(ctx context.Context, cfg pipeline.Config, prog *e
 }
 
 // windowOf extracts the measured window from one detailed run: the
-// post-warmup region when warmup was requested (nil Measured means the
-// program ended during warmup — no usable window), or the whole
-// truncated run when the regime has no warmup.
-func windowOf(r *pipeline.Result, start uint64, sc Config) (Window, bool) {
+// post-warmup region when warmup was requested, or the whole truncated
+// run when the regime has no warmup. A run that measured nothing — the
+// program ended during warmup (nil Measured) or at once — yields the
+// zero Window, whose Retired is 0.
+func windowOf(r *pipeline.Result, start uint64, sc Config) Window {
 	if sc.Warmup == 0 {
 		if r.Retired == 0 {
-			return Window{}, false
+			return Window{}
 		}
 		return Window{
 			StartInst:       start,
@@ -790,11 +889,11 @@ func windowOf(r *pipeline.Result, start uint64, sc Config) (Window, bool) {
 			LateRecovered:   r.LateRecovered,
 			DecodeRedirects: r.DecodeRedirects,
 			Opt:             r.Opt,
-		}, true
+		}
 	}
 	mw := r.Measured
 	if mw == nil || mw.Retired == 0 {
-		return Window{}, false
+		return Window{}
 	}
 	return Window{
 		StartInst:       start,
@@ -807,5 +906,5 @@ func windowOf(r *pipeline.Result, start uint64, sc Config) (Window, bool) {
 		LateRecovered:   mw.LateRecovered,
 		DecodeRedirects: mw.DecodeRedirects,
 		Opt:             mw.Opt,
-	}, true
+	}
 }

@@ -2,6 +2,7 @@ package sample
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -408,5 +409,93 @@ func TestRunPlannedRejects(t *testing.T) {
 	}
 	if _, err := RunPlanned(context.Background(), pipeline.DefaultConfig(), p, sc, nil); err == nil {
 		t.Error("running a nil plan succeeded")
+	}
+}
+
+// groupConfigs is a config set shaped like a sampled sweep row: three
+// geometries (the default, one differing only in the predictor, one
+// only in the caches), WindowSize-only variants within each, and
+// duplicates, interleaved so warm groups are not contiguous.
+func groupConfigs() []pipeline.Config {
+	geoms := []func(*pipeline.Config){
+		func(*pipeline.Config) {},
+		func(c *pipeline.Config) {
+			c.BPred.IndexBits, c.BPred.HistoryBits = 14, 14
+		},
+		func(c *pipeline.Config) {
+			c.Caches.L1D.SizeB, c.Caches.L1D.Assoc = 64<<10, 4
+			c.Caches.L2.SizeB = 512 << 10
+		},
+	}
+	var cfgs []pipeline.Config
+	for _, ws := range []int{48, 128} {
+		for g, geom := range geoms {
+			c := pipeline.DefaultConfig()
+			c.WindowSize = ws
+			geom(&c)
+			c.Name = fmt.Sprintf("w%d-g%d", ws, g)
+			cfgs = append(cfgs, c)
+		}
+	}
+	return append(cfgs, cfgs[4], cfgs[0])
+}
+
+// TestRunPlannedGroupMatchesRunPlanned is the differential gate for
+// group warming: every config's Result from one RunPlannedGroup call
+// equals its own RunPlanned Result, under warm and cold regimes, the
+// exact fallback, a window cap, and any worker count.
+func TestRunPlannedGroupMatchesRunPlanned(t *testing.T) {
+	cfgs := groupConfigs()
+	if n := len(warmGroups(cfgs)); n != 3 {
+		t.Fatalf("config set has %d warm groups, want 3", n)
+	}
+	cases := []struct {
+		name  string
+		bench string
+		sc    Config
+	}{
+		{"warm", "tst", DefaultConfig()},
+		{"cold", "tst", Config{Warmup: 400, Window: 300, TargetWindows: 8, ColdStart: true}},
+		{"exact", "eon", DefaultConfig()},
+		{"maxwindows", "mgd", Config{Warmup: 100, Window: 200, TargetWindows: 16, MaxWindows: 3}},
+	}
+	ctx := context.Background()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := prog(t, tc.bench).Program(1)
+			pre, err := Run(ctx, pipeline.DefaultConfig(), p, tc.sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := BuildPlan(ctx, p, tc.sc, pre.TotalInsts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case tc.name == "exact" && plan.Period != 0:
+				t.Fatal("plan for a short program is not the exact fallback")
+			case tc.name == "cold" && plan.Windows[len(plan.Windows)-1].WarmFrom != plan.Windows[len(plan.Windows)-1].Start:
+				t.Fatal("cold plan warms")
+			case tc.name == "maxwindows" && len(plan.Windows) != 3:
+				t.Fatalf("plan has %d windows, want 3", len(plan.Windows))
+			}
+			for _, workers := range []int{1, 4} {
+				sc := tc.sc
+				sc.Workers = workers
+				got, err := RunPlannedGroup(ctx, cfgs, p, sc, plan)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				for i, cfg := range cfgs {
+					want, err := RunPlanned(ctx, cfg, p, sc, plan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got[i], want) {
+						t.Errorf("workers=%d config %d (%s): group result differs\ngroup %+v\nalone %+v", workers, i, cfg.Name, got[i], want)
+					}
+				}
+			}
+		})
 	}
 }

@@ -6,8 +6,10 @@
 //
 // A Server accepts declarative sweep specs (exper.SweepSpec) over
 // POST /v1/sweeps and turns each into a Job: a unit of scheduled work
-// with a tenant, an SLO class, and a streamed progress history. Jobs
-// run on a bounded scheduler:
+// with a tenant, an SLO class, and a streamed progress history. A
+// submission body over 1 MiB is rejected with 413, and ListenAndServe
+// gives clients a fixed time to send their request headers. Jobs run
+// on a bounded scheduler:
 //
 //   - Classes. Critical jobs dequeue ahead of sheddable ahead of batch.
 //     Every class has a bounded wait queue; a full queue rejects with

@@ -234,6 +234,16 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOversizedBody: a submission body over the 1 MiB cap
+// is answered 413 without being read to the end.
+func TestSubmitRejectsOversizedBody(t *testing.T) {
+	_, ts, _ := newTestServer(t, 1, Config{})
+	body := `{"tenant": "` + strings.Repeat("x", 2<<20) + `"}`
+	if _, status, _ := submit(t, ts.URL, body); status != http.StatusRequestEntityTooLarge {
+		t.Errorf("2 MiB submit status = %d, want 413", status)
+	}
+}
+
 // TestConcurrentClientsSingleflight is the satellite requirement:
 // many clients submitting the same sweep spec concurrently must cost
 // exactly one simulation per unique (config, benchmark, scale) cell —

@@ -36,6 +36,14 @@ const (
 	DefaultProgressInterval = 250_000
 )
 
+// Fixed request limits: a submission body is a sweep spec, far below
+// maxRequestBytes (a larger one is answered 413), and a client gets
+// readHeaderTimeout to send its request headers.
+const (
+	maxRequestBytes   = 1 << 20
+	readHeaderTimeout = 10 * time.Second
+)
+
 // Config tunes a Server. The zero value gets the defaults above.
 type Config struct {
 	// MaxJobs bounds concurrently running jobs (not simulations — the
@@ -152,7 +160,7 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, drainTimeout t
 		return err
 	}
 	s.cfg.Logf("serve: listening on %s", ln.Addr())
-	hs := &http.Server{Handler: s.Handler()}
+	hs := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {
@@ -408,11 +416,16 @@ type submitRequest struct {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	var req submitRequest
 	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	class, err := ParseClass(req.SLO)
