@@ -33,7 +33,7 @@ const benchScale = 1
 // benchRun runs the pipeline and fails the benchmark on error.
 func benchRun(b *testing.B, cfg pipeline.Config, prog *emu.Program) *pipeline.Result {
 	b.Helper()
-	res, err := pipeline.Run(cfg, prog)
+	res, err := RunProgram(context.Background(), cfg, prog)
 	if err != nil {
 		b.Fatal(err)
 	}

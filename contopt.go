@@ -9,8 +9,8 @@
 //     continuous optimizer: build a Session with NewSession and drive it
 //     with Session.Run, which takes a context.Context for cancellation
 //     and RunOpts for cycle/retirement limits and interval telemetry
-//     (IntervalStats) — or use the deprecated blocking Run for the old
-//     one-call path
+//     (IntervalStats) — or use RunProgram to run to completion in one
+//     call
 //   - the 22-benchmark workload registry (Benchmarks, Benchmark,
 //     RunBenchmark)
 //   - the experiment harness that regenerates the paper's tables and
@@ -317,24 +317,14 @@ func NewSessionFromCheckpoint(cfg Config, prog *Program, ck *Checkpoint) (*Sessi
 }
 
 // RunProgram simulates prog to completion on the machine described by
-// cfg under ctx — the context-aware successor to Run. For limits or
-// telemetry, build a Session and pass RunOpts yourself.
+// cfg under ctx. For limits or telemetry, build a Session and pass
+// RunOpts yourself.
 func RunProgram(ctx context.Context, cfg Config, prog *Program) (*Result, error) {
 	s, err := NewSession(cfg, prog)
 	if err != nil {
 		return nil, err
 	}
 	return s.Run(ctx, RunOpts{})
-}
-
-// Run simulates prog on the machine described by cfg, blocking until
-// completion. An invalid config or failed simulation is reported as an
-// error (earlier releases panicked instead).
-//
-// Deprecated: Run cannot be canceled or observed. Use RunProgram (or
-// NewSession + Session.Run) in new code.
-func Run(cfg Config, prog *Program) (*Result, error) {
-	return pipeline.Run(cfg, prog)
 }
 
 // Emulate executes prog architecturally (no timing) for at most max

@@ -27,11 +27,11 @@ loop:
 	if got := m.Mem.Load64(0x20008); got != 0 {
 		t.Errorf("stored result %d, want 0", got)
 	}
-	base, err := Run(BaselineConfig(), prog)
+	base, err := RunProgram(context.Background(), BaselineConfig(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := Run(DefaultConfig(), prog)
+	opt, err := RunProgram(context.Background(), DefaultConfig(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestOptimizedMachineNeverChangesResults(t *testing.T) {
 		}
 		prog := b.Program(1)
 		want := Emulate(prog, 0).InstCount()
-		res, err := Run(DefaultConfig(), prog)
+		res, err := RunProgram(context.Background(), DefaultConfig(), prog)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,9 +35,9 @@ loop:
 	// Output: triangle(10) = 55
 }
 
-// ExampleRun compares the baseline machine against the continuously
+// ExampleRunProgram compares the baseline machine against the continuously
 // optimized one on the same program.
-func ExampleRun() {
+func ExampleRunProgram() {
 	prog, err := contopt.Assemble("demo", `
 start:
     ldi params -> r1
@@ -53,11 +53,11 @@ loop:
 	if err != nil {
 		log.Fatal(err)
 	}
-	base, err := contopt.Run(contopt.BaselineConfig(), prog)
+	base, err := contopt.RunProgram(context.Background(), contopt.BaselineConfig(), prog)
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt, err := contopt.Run(contopt.DefaultConfig(), prog)
+	opt, err := contopt.RunProgram(context.Background(), contopt.DefaultConfig(), prog)
 	if err != nil {
 		log.Fatal(err)
 	}

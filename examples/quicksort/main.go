@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -48,7 +49,7 @@ func report(prog *contopt.Program) {
 }
 
 func mustRun(cfg contopt.Config, prog *contopt.Program) *contopt.Result {
-	r, err := contopt.Run(cfg, prog)
+	r, err := contopt.RunProgram(context.Background(), cfg, prog)
 	if err != nil {
 		log.Fatal(err)
 	}

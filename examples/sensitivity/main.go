@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -50,7 +51,7 @@ func main() {
 }
 
 func mustRun(cfg contopt.Config, prog *contopt.Program) *contopt.Result {
-	r, err := contopt.Run(cfg, prog)
+	r, err := contopt.RunProgram(context.Background(), cfg, prog)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,11 +17,9 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/pipeline"
 	"repro/internal/sample"
-	"repro/internal/workloads"
 )
 
 // Shard identifies one partition of a sweep: this process owns every
@@ -109,43 +107,23 @@ func (r *Runner) SweepShard(ctx context.Context, spec *SweepSpec, sh Shard, sc *
 		}
 	}
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	for bi, b := range benches {
-		for ci := range cfgs {
-			rep.TotalCells++
-			if !sh.owns(bi*len(cfgs) + ci) {
-				continue
-			}
-			rep.OwnedCells++
-			wg.Add(1)
-			go func(ci int, b *workloads.Benchmark) {
-				defer wg.Done()
-				var err error
-				if sc != nil {
-					_, err = r.RunSampled(ctx, cfgs[ci], b, spec.Scale, sampled)
-				} else {
-					_, err = r.Run(ctx, cfgs[ci], b, spec.Scale)
-				}
-				if err != nil {
-					errOnce.Do(func() {
-						firstErr = err
-						cancel()
-					})
-				}
-			}(ci, b)
+	var owned []int // flat cell indices, bench-major
+	for k := 0; k < len(benches)*len(cfgs); k++ {
+		if sh.owns(k) {
+			owned = append(owned, k)
 		}
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return rep, firstErr
-	}
-	return rep, nil
+	rep.TotalCells, rep.OwnedCells = len(benches)*len(cfgs), len(owned)
+	return rep, fanOut(ctx, len(owned), func(ctx context.Context, i int) error {
+		b, cfg := benches[owned[i]/len(cfgs)], cfgs[owned[i]%len(cfgs)]
+		var err error
+		if sc != nil {
+			_, err = r.RunSampled(ctx, cfg, b, spec.Scale, sampled)
+		} else {
+			_, err = r.Run(ctx, cfg, b, spec.Scale)
+		}
+		return err
+	})
 }
 
 // SweepMerge assembles spec's full table from the store alone — no

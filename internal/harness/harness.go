@@ -31,7 +31,6 @@ import (
 	"repro/internal/exper"
 	"repro/internal/pipeline"
 	"repro/internal/sample"
-	"repro/internal/store"
 	"repro/internal/workloads"
 )
 
@@ -41,15 +40,14 @@ type Options struct {
 	// Experiments at Scale 1 run in seconds; the default scales match
 	// the EXPERIMENTS.md numbers.
 	Scale int
-	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS). It is
-	// ignored when Engine is set; the engine's pool governs then.
-	Parallelism int
 	// Machine is the base machine template (zero value = DefaultConfig).
 	Machine pipeline.Config
 	// Engine memoizes and deduplicates simulations. Share one engine
 	// across artifact calls to simulate each unique (config, benchmark,
-	// scale) triple once per process. Nil runs each artifact on a
-	// private engine (still deduplicated within the artifact).
+	// scale) triple once per process; its pool bounds parallelism and
+	// its store (exper.Runner.SetStore) makes results durable. Nil runs
+	// each artifact on a private GOMAXPROCS engine (still deduplicated
+	// within the artifact).
 	Engine *exper.Runner
 	// Sample, when non-nil, switches every artifact to sampled
 	// simulation: cells become statistical estimates from periodic
@@ -57,32 +55,18 @@ type Options struct {
 	// much faster at large scale, accurate to the reported confidence
 	// interval. Sampled and exact results are cached separately.
 	Sample *sample.Config
-	// Store, when non-nil, backs simulation with the persistent result
-	// store: finished cells are durable across processes, and a rerun
-	// of the same artifact — in this process or a later one — reloads
-	// them instead of resimulating, which is what makes interrupted
-	// artifact builds resumable. When Engine is set, attach the store
-	// to that engine instead (exper.Runner.SetStore); this field then
-	// has no effect, since the engine's layering governs.
-	Store *store.Store
 }
 
 func (o Options) machine() pipeline.Config {
 	return o.Machine.Normalize()
 }
 
-// engine returns the shared engine, or builds a private one bounded by
-// o.Parallelism and backed by o.Store — so even engine-less artifact
-// calls share results durably through the store.
+// engine returns the shared engine, or a private one.
 func (o Options) engine() *exper.Runner {
 	if o.Engine != nil {
 		return o.Engine
 	}
-	r := exper.NewRunner(o.Parallelism)
-	if o.Store != nil {
-		r.SetStore(o.Store)
-	}
-	return r
+	return exper.NewRunner(0)
 }
 
 // suiteRun holds one benchmark's results across a set of configurations.

@@ -30,6 +30,18 @@
 // of the program entry, which is how internal/sample drops into
 // detailed simulation mid-program.
 //
+// # Counters
+//
+// Counters is the machine's one set of monotone event counts: Cycles
+// and Retired, the branch events behind Table 3's recovery column, and
+// the dispatch/rename stall counts. Result, IntervalStats and
+// MeasuredWindow each embed it, with the optimizer's core.Stats beside
+// it as Opt, so IPC, CPI, Add and Sub are defined once. The session
+// increments the Result's Counters in the hot loop and reads them only
+// when an interval closes and at the warm-up boundary; every interval
+// and the measured region are a Sub of two such readings, so the
+// intervals of a run add up to its totals exactly.
+//
 // # Identity and caching
 //
 // Config.Key returns a canonical content hash of the machine

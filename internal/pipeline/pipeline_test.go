@@ -436,11 +436,11 @@ func TestOccupancyReflectsBoundedness(t *testing.T) {
 }
 
 func TestResultHelpers(t *testing.T) {
-	r := &Result{Cycles: 100, Retired: 250}
+	r := &Result{Counters: Counters{Cycles: 100, Retired: 250}}
 	if r.IPC() != 2.5 {
 		t.Errorf("IPC = %v", r.IPC())
 	}
-	base := &Result{Cycles: 150}
+	base := &Result{Counters: Counters{Cycles: 150}}
 	if got := r.SpeedupOver(base); got != 1.5 {
 		t.Errorf("speedup = %v", got)
 	}

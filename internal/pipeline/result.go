@@ -1,11 +1,9 @@
 package pipeline
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/emu"
 )
 
 // Result carries the outcome of one simulation. A Result is
@@ -38,23 +36,14 @@ type Result struct {
 	// whole-run cycle count and the event counters are extrapolated.
 	Sampled bool
 
-	// Cycles and Retired give raw performance; IPC() combines them.
-	Cycles  uint64
-	Retired uint64
-
-	// Branch events. Mispredicted counts conditional/computed-target
-	// mispredictions (the expensive kind); EarlyRecovered of those were
-	// resolved in the optimizer, LateRecovered at execute.
-	// DecodeRedirects are cheap static-target BTB misses.
-	Mispredicted    uint64
-	EarlyRecovered  uint64
-	LateRecovered   uint64
-	DecodeRedirects uint64
-
-	// Stall diagnostics.
-	WindowStalls uint64
-	SchedStalls  uint64
-	RegStalls    uint64
+	// Counters holds the run's event counts: Cycles and Retired give
+	// raw performance, the branch and stall counters the diagnostics.
+	// For a sampled Result the branch counters are extrapolated and the
+	// stall counters stay zero. JSON flattens an embedded struct in
+	// place, and the result store and benchmark digests hash that
+	// encoding, so Counters stays here and Opt stays outside it
+	// (testdata/result.golden.json pins the order).
+	Counters
 
 	// AvgWindowOcc and AvgSchedOcc are mean occupancies (instructions)
 	// of the 160-entry window and the four schedulers combined — useful
@@ -73,7 +62,7 @@ type Result struct {
 
 	// Intervals is the run's telemetry time series, populated when
 	// RunOpts.Interval > 0: one record per Interval cycles (the last may
-	// be shorter). Summing the interval counters field-wise reproduces
+	// be shorter). Adding up the intervals' Counters and Opt reproduces
 	// the run totals above.
 	Intervals []IntervalStats
 
@@ -90,10 +79,11 @@ type Result struct {
 	Measured *MeasuredWindow
 }
 
-// MeasuredWindow is the measured region of a warmup+measure run: every
-// counter covers only the cycles after the RunOpts.WarmupRetired
-// boundary, so WarmupCycles + Cycles equals the run's total cycles and
-// WarmupRetired + Retired equals its total retirements.
+// MeasuredWindow is the measured region of a warmup+measure run: its
+// Counters and Opt cover only the cycles after the
+// RunOpts.WarmupRetired boundary, so WarmupCycles + Cycles equals the
+// run's total cycles and WarmupRetired + Retired equals its total
+// retirements.
 type MeasuredWindow struct {
 	// WarmupCycles and WarmupRetired locate the boundary: the cycle the
 	// measurement opened at and the retirements before it (>= the
@@ -102,42 +92,84 @@ type MeasuredWindow struct {
 	WarmupCycles  uint64
 	WarmupRetired uint64
 
-	// Cycles and Retired are the measured region's extent.
-	Cycles  uint64
-	Retired uint64
-
-	// Branch events of the measured region (see Result).
-	Mispredicted    uint64
-	EarlyRecovered  uint64
-	LateRecovered   uint64
-	DecodeRedirects uint64
+	// Counters holds the measured region's events (see Result).
+	Counters
 
 	// Opt holds the optimizer events of the measured region.
 	Opt core.Stats
 }
 
-// IPC returns the measured region's retired instructions per cycle.
-func (m *MeasuredWindow) IPC() float64 {
-	if m.Cycles == 0 {
-		return 0
-	}
-	return float64(m.Retired) / float64(m.Cycles)
+// Counters is the machine's monotone event counts — the one counter set
+// a whole run (Result), a telemetry interval (IntervalStats) and a
+// measured region (MeasuredWindow) report. Its field order is part of
+// Result's JSON encoding; do not reorder. The optimizer's counters live
+// next to it as core.Stats.
+type Counters struct {
+	// Cycles and Retired give raw performance; IPC and CPI combine them.
+	Cycles  uint64
+	Retired uint64
+
+	// Branch events. Mispredicted counts conditional/computed-target
+	// mispredictions (the expensive kind); EarlyRecovered of those were
+	// resolved in the optimizer, LateRecovered at execute.
+	// DecodeRedirects are cheap static-target BTB misses.
+	Mispredicted    uint64
+	EarlyRecovered  uint64
+	LateRecovered   uint64
+	DecodeRedirects uint64
+
+	// Stall diagnostics: cycles in which dispatch stopped at a full
+	// window or a full scheduler, or rename at a lack of free registers.
+	WindowStalls uint64
+	SchedStalls  uint64
+	RegStalls    uint64
 }
 
-// CPI returns the measured region's cycles per retired instruction.
-func (m *MeasuredWindow) CPI() float64 {
-	if m.Retired == 0 {
-		return 0
+// Add returns c + d, field by field.
+func (c Counters) Add(d Counters) Counters {
+	return Counters{
+		Cycles:          c.Cycles + d.Cycles,
+		Retired:         c.Retired + d.Retired,
+		Mispredicted:    c.Mispredicted + d.Mispredicted,
+		EarlyRecovered:  c.EarlyRecovered + d.EarlyRecovered,
+		LateRecovered:   c.LateRecovered + d.LateRecovered,
+		DecodeRedirects: c.DecodeRedirects + d.DecodeRedirects,
+		WindowStalls:    c.WindowStalls + d.WindowStalls,
+		SchedStalls:     c.SchedStalls + d.SchedStalls,
+		RegStalls:       c.RegStalls + d.RegStalls,
 	}
-	return float64(m.Cycles) / float64(m.Retired)
 }
 
-// IPC returns retired instructions per cycle.
-func (r *Result) IPC() float64 {
-	if r.Cycles == 0 {
+// Sub returns c - d, field by field: the events between an earlier
+// reading d of the same monotone counters and c.
+func (c Counters) Sub(d Counters) Counters {
+	return Counters{
+		Cycles:          c.Cycles - d.Cycles,
+		Retired:         c.Retired - d.Retired,
+		Mispredicted:    c.Mispredicted - d.Mispredicted,
+		EarlyRecovered:  c.EarlyRecovered - d.EarlyRecovered,
+		LateRecovered:   c.LateRecovered - d.LateRecovered,
+		DecodeRedirects: c.DecodeRedirects - d.DecodeRedirects,
+		WindowStalls:    c.WindowStalls - d.WindowStalls,
+		SchedStalls:     c.SchedStalls - d.SchedStalls,
+		RegStalls:       c.RegStalls - d.RegStalls,
+	}
+}
+
+// IPC returns retired instructions per cycle (0 when no cycles).
+func (c Counters) IPC() float64 {
+	if c.Cycles == 0 {
 		return 0
 	}
-	return float64(r.Retired) / float64(r.Cycles)
+	return float64(c.Retired) / float64(c.Cycles)
+}
+
+// CPI returns cycles per retired instruction (0 when none retired).
+func (c Counters) CPI() float64 {
+	if c.Retired == 0 {
+		return 0
+	}
+	return float64(c.Cycles) / float64(c.Retired)
 }
 
 // SpeedupOver returns base.Cycles / r.Cycles — the paper's speedup
@@ -183,18 +215,4 @@ func pct(num, den uint64) float64 {
 // String summarizes the run.
 func (r *Result) String() string {
 	return fmt.Sprintf("%s/%s: %d insts, %d cycles, IPC %.3f", r.Program, r.Machine, r.Retired, r.Cycles, r.IPC())
-}
-
-// Run builds a session and runs prog under cfg to completion,
-// reporting an invalid config or a failed simulation as an error.
-//
-// Deprecated: Run is the pre-session API, kept for callers that need
-// neither cancellation nor telemetry. New code should use New and
-// Session.Run, which also take a context.
-func Run(cfg Config, prog *emu.Program) (*Result, error) {
-	s, err := New(cfg, prog)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(context.Background(), RunOpts{})
 }

@@ -33,8 +33,9 @@ type RunOpts struct {
 	// nobody re-reads.
 	StreamOnly bool
 	// WarmupRetired, when > 0, marks a measurement boundary: once that
-	// many instructions have retired, the session snapshots its counters
-	// and Result.Measured reports only the events after the boundary.
+	// many instructions have retired, the session reads its Counters and
+	// optimizer stats, and Result.Measured reports only the events after
+	// the boundary.
 	// This is how sampled simulation discards a detailed window's
 	// cold-start warmup (caches, predictor, optimizer tables filling)
 	// from the measured statistics. The run itself is unaffected — use
@@ -55,25 +56,18 @@ const (
 )
 
 // IntervalStats is one slice of a simulation's time series: the events
-// of the cycles [StartCycle, StartCycle+Cycles). Every counter field is
-// an interval delta, so summing a run's intervals field-wise reproduces
-// the final Result totals; IPC is derived per interval. The last
+// of the cycles [StartCycle, StartCycle+Cycles). Counters and Opt are
+// interval deltas, so adding up a run's intervals reproduces the final
+// Result totals; IPC and CPI are derived per interval. The last
 // interval of a run may be shorter than RunOpts.Interval.
 type IntervalStats struct {
 	// Index is the interval's position in the run, from 0.
 	Index int
 	// StartCycle is the machine cycle the interval opened at.
 	StartCycle uint64
-	// Cycles is the interval length (== RunOpts.Interval except for the
-	// final partial interval).
-	Cycles uint64
-	// Retired counts instructions retired during the interval.
-	Retired uint64
-	// Branch events of the interval (see Result for field meanings).
-	Mispredicted    uint64
-	EarlyRecovered  uint64
-	LateRecovered   uint64
-	DecodeRedirects uint64
+	// Counters holds the interval's events. Its Cycles is the interval
+	// length (== RunOpts.Interval except for the final partial interval).
+	Counters
 	// Opt holds the optimizer events of the interval.
 	Opt core.Stats
 }
@@ -81,34 +75,12 @@ type IntervalStats struct {
 // EndCycle returns the first cycle after the interval.
 func (iv IntervalStats) EndCycle() uint64 { return iv.StartCycle + iv.Cycles }
 
-// IPC returns the interval's retired instructions per cycle (0 for an
-// empty interval).
-func (iv IntervalStats) IPC() float64 {
-	if iv.Cycles == 0 {
-		return 0
-	}
-	return float64(iv.Retired) / float64(iv.Cycles)
-}
-
-// snapshot freezes the monotone event counters for interval deltas.
-type snapshot struct {
-	retired         uint64
-	mispredicted    uint64
-	earlyRecovered  uint64
-	lateRecovered   uint64
-	decodeRedirects uint64
-	opt             core.Stats
-}
-
-func (s *Session) snap() snapshot {
-	return snapshot{
-		retired:         s.res.Retired,
-		mispredicted:    s.res.Mispredicted,
-		earlyRecovered:  s.res.EarlyRecovered,
-		lateRecovered:   s.res.LateRecovered,
-		decodeRedirects: s.res.DecodeRedirects,
-		opt:             *s.opt.Stats(),
-	}
+// snap reads the monotone event counters at the current cycle, for
+// interval and measured-region deltas.
+func (s *Session) snap() (Counters, core.Stats) {
+	c := s.res.Counters
+	c.Cycles = s.cycle
+	return c, *s.opt.Stats()
 }
 
 // ctxCheckMask throttles context polling to every 4096 cycles: cheap
@@ -140,25 +112,20 @@ func (s *Session) Run(ctx context.Context, opts RunOpts) (*Result, error) {
 		truncated    TruncateReason
 		lastRetired  uint64
 		lastProgress uint64
-		ivStart      uint64 // first cycle of the open interval
-		prev         snapshot
+		prev         Counters // counters at the open interval's first cycle
+		prevOpt      core.Stats
 		warmed       bool
-		warmSnap     snapshot
-		warmCycle    uint64
+		warm         Counters // counters at the warm-up boundary
+		warmOpt      core.Stats
 	)
 	ivIndex := 0
 	closeInterval := func() {
-		cur := s.snap()
+		cur, curOpt := s.snap()
 		iv := IntervalStats{
-			Index:           ivIndex,
-			StartCycle:      ivStart,
-			Cycles:          s.cycle - ivStart,
-			Retired:         cur.retired - prev.retired,
-			Mispredicted:    cur.mispredicted - prev.mispredicted,
-			EarlyRecovered:  cur.earlyRecovered - prev.earlyRecovered,
-			LateRecovered:   cur.lateRecovered - prev.lateRecovered,
-			DecodeRedirects: cur.decodeRedirects - prev.decodeRedirects,
-			Opt:             cur.opt.Sub(prev.opt),
+			Index:      ivIndex,
+			StartCycle: prev.Cycles,
+			Counters:   cur.Sub(prev),
+			Opt:        curOpt.Sub(prevOpt),
 		}
 		ivIndex++
 		if !opts.StreamOnly {
@@ -167,8 +134,7 @@ func (s *Session) Run(ctx context.Context, opts RunOpts) (*Result, error) {
 		if opts.Observer != nil {
 			opts.Observer(iv)
 		}
-		ivStart = s.cycle
-		prev = cur
+		prev, prevOpt = cur, curOpt
 	}
 
 	for !s.done() {
@@ -201,13 +167,12 @@ func (s *Session) Run(ctx context.Context, opts RunOpts) (*Result, error) {
 		}
 		s.cycle++
 
-		if opts.Interval > 0 && s.cycle-ivStart >= opts.Interval {
+		if opts.Interval > 0 && s.cycle-prev.Cycles >= opts.Interval {
 			closeInterval()
 		}
 		if opts.WarmupRetired > 0 && !warmed && s.res.Retired >= opts.WarmupRetired {
 			warmed = true
-			warmSnap = s.snap()
-			warmCycle = s.cycle
+			warm, warmOpt = s.snap()
 		}
 
 		if s.res.Retired != lastRetired {
@@ -218,22 +183,17 @@ func (s *Session) Run(ctx context.Context, opts RunOpts) (*Result, error) {
 				noProgressLimit, s.cycle, s.res.Machine, s.res.Program, s.window.len(), s.fetchQ.len(), s.renQ.len())
 		}
 	}
-	if opts.Interval > 0 && s.cycle > ivStart {
+	if opts.Interval > 0 && s.cycle > prev.Cycles {
 		closeInterval() // final partial interval
 	}
 
 	if warmed {
-		cur := s.snap()
+		cur, curOpt := s.snap()
 		s.res.Measured = &MeasuredWindow{
-			WarmupCycles:    warmCycle,
-			WarmupRetired:   warmSnap.retired,
-			Cycles:          s.cycle - warmCycle,
-			Retired:         cur.retired - warmSnap.retired,
-			Mispredicted:    cur.mispredicted - warmSnap.mispredicted,
-			EarlyRecovered:  cur.earlyRecovered - warmSnap.earlyRecovered,
-			LateRecovered:   cur.lateRecovered - warmSnap.lateRecovered,
-			DecodeRedirects: cur.decodeRedirects - warmSnap.decodeRedirects,
-			Opt:             cur.opt.Sub(warmSnap.opt),
+			WarmupCycles:  warm.Cycles,
+			WarmupRetired: warm.Retired,
+			Counters:      cur.Sub(warm),
+			Opt:           curOpt.Sub(warmOpt),
 		}
 	}
 	s.res.Truncated = truncated

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/pipeline"
 	"repro/internal/workloads"
 )
@@ -127,9 +128,28 @@ func TestMaxRetiredTruncates(t *testing.T) {
 	}
 }
 
+// checkIntervalSums is the telemetry conservation law: adding up the
+// Counters and Opt of a run's intervals reproduces the Result totals
+// exactly — every counter, stalls included.
+func checkIntervalSums(t *testing.T, res *pipeline.Result) {
+	t.Helper()
+	var sum pipeline.Counters
+	var opt core.Stats
+	for _, iv := range res.Intervals {
+		sum = sum.Add(iv.Counters)
+		opt = opt.Add(iv.Opt)
+	}
+	if sum != res.Counters {
+		t.Errorf("interval counter sums differ from totals:\n got %+v\nwant %+v", sum, res.Counters)
+	}
+	if opt != res.Opt {
+		t.Errorf("optimizer-event sums differ from totals:\n got %+v\nwant %+v", opt, res.Opt)
+	}
+}
+
 // TestIntervalTelemetrySumsToTotals is the telemetry conservation law on
-// two registry benchmarks: summing every IntervalStats field over a run
-// reproduces the final Result totals exactly.
+// two registry benchmarks: adding up every interval of a run reproduces
+// the final Result totals exactly.
 func TestIntervalTelemetrySumsToTotals(t *testing.T) {
 	for _, name := range []string{"mcf", "untst"} {
 		t.Run(name, func(t *testing.T) {
@@ -147,7 +167,6 @@ func TestIntervalTelemetrySumsToTotals(t *testing.T) {
 			if len(observed) != len(res.Intervals) {
 				t.Fatalf("observer saw %d intervals, result holds %d", len(observed), len(res.Intervals))
 			}
-			var sum pipeline.IntervalStats
 			for i, iv := range res.Intervals {
 				if iv.Index != i {
 					t.Errorf("interval %d has Index %d", i, iv.Index)
@@ -159,29 +178,8 @@ func TestIntervalTelemetrySumsToTotals(t *testing.T) {
 					t.Errorf("interval %d starts at %d, previous ended at %d",
 						i, iv.StartCycle, res.Intervals[i-1].EndCycle())
 				}
-				sum.Cycles += iv.Cycles
-				sum.Retired += iv.Retired
-				sum.Mispredicted += iv.Mispredicted
-				sum.EarlyRecovered += iv.EarlyRecovered
-				sum.LateRecovered += iv.LateRecovered
-				sum.DecodeRedirects += iv.DecodeRedirects
-				sum.Opt = sum.Opt.Add(iv.Opt)
 			}
-			if sum.Cycles != res.Cycles {
-				t.Errorf("interval cycles sum %d != total %d", sum.Cycles, res.Cycles)
-			}
-			if sum.Retired != res.Retired {
-				t.Errorf("interval retired sum %d != total %d", sum.Retired, res.Retired)
-			}
-			if sum.Mispredicted != res.Mispredicted || sum.EarlyRecovered != res.EarlyRecovered ||
-				sum.LateRecovered != res.LateRecovered || sum.DecodeRedirects != res.DecodeRedirects {
-				t.Errorf("branch-event sums (%d/%d/%d/%d) != totals (%d/%d/%d/%d)",
-					sum.Mispredicted, sum.EarlyRecovered, sum.LateRecovered, sum.DecodeRedirects,
-					res.Mispredicted, res.EarlyRecovered, res.LateRecovered, res.DecodeRedirects)
-			}
-			if sum.Opt != res.Opt {
-				t.Errorf("optimizer-event sums differ from totals:\n got %+v\nwant %+v", sum.Opt, res.Opt)
-			}
+			checkIntervalSums(t, res)
 		})
 	}
 }
@@ -218,23 +216,7 @@ func TestTruncatedRunEmitsFinalPartialInterval(t *testing.T) {
 	if end := last.EndCycle(); end != res.Cycles {
 		t.Errorf("final interval ends at cycle %d, run stopped at %d", end, res.Cycles)
 	}
-	var sum pipeline.IntervalStats
-	for _, iv := range res.Intervals {
-		sum.Cycles += iv.Cycles
-		sum.Retired += iv.Retired
-		sum.Mispredicted += iv.Mispredicted
-		sum.EarlyRecovered += iv.EarlyRecovered
-		sum.LateRecovered += iv.LateRecovered
-		sum.DecodeRedirects += iv.DecodeRedirects
-		sum.Opt = sum.Opt.Add(iv.Opt)
-	}
-	if sum.Cycles != res.Cycles || sum.Retired != res.Retired {
-		t.Errorf("interval sums (%d cycles, %d retired) != truncated totals (%d, %d)",
-			sum.Cycles, sum.Retired, res.Cycles, res.Retired)
-	}
-	if sum.Mispredicted != res.Mispredicted || sum.Opt != res.Opt {
-		t.Errorf("interval event sums differ from truncated run totals")
-	}
+	checkIntervalSums(t, res)
 }
 
 // TestMaxRetiredTruncationEmitsFinalPartialInterval is the same law for
@@ -258,14 +240,7 @@ func TestMaxRetiredTruncationEmitsFinalPartialInterval(t *testing.T) {
 	if last := res.Intervals[len(res.Intervals)-1]; last.EndCycle() != res.Cycles {
 		t.Errorf("final interval ends at %d, run stopped at %d", last.EndCycle(), res.Cycles)
 	}
-	var cycles, retired uint64
-	for _, iv := range res.Intervals {
-		cycles += iv.Cycles
-		retired += iv.Retired
-	}
-	if cycles != res.Cycles || retired != res.Retired {
-		t.Errorf("interval sums (%d, %d) != totals (%d, %d)", cycles, retired, res.Cycles, res.Retired)
-	}
+	checkIntervalSums(t, res)
 	if len(observed) != len(res.Intervals) {
 		t.Errorf("observer saw %d intervals, result holds %d", len(observed), len(res.Intervals))
 	}
@@ -300,6 +275,7 @@ func TestResultRatiosZeroSafe(t *testing.T) {
 		"PctAddrGen":          r.PctAddrGen(),
 		"PctLoadsRemoved":     r.PctLoadsRemoved(),
 		"IntervalStats.IPC":   iv.IPC(),
+		"Counters.CPI":        r.CPI(),
 	} {
 		if v != 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Errorf("%s on zero-value receiver = %v, want 0", name, v)

@@ -183,7 +183,12 @@ func (c Config) Key() string {
 	return fmt.Sprintf("2.p%d.t%d.w%d.m%d.x%d%s", c.Period, c.TargetWindows, c.Warmup, c.Window, c.MaxWindows, cold)
 }
 
-// Window is one measured detailed window.
+// Window is one measured detailed window, flattened from the session's
+// pipeline.MeasuredWindow by measuredWindow. It keeps its own flat
+// fields instead of embedding pipeline.Counters: code in other packages
+// builds Windows with keyed literals ({StartInst: …, Cycles: …}), and
+// Go rejects promoted fields in a composite literal. It carries no
+// stall counters, so Estimate leaves them zero.
 type Window struct {
 	// Index is the window's position in the run, from 0.
 	Index int
@@ -321,8 +326,7 @@ func (r *Result) Estimate() *pipeline.Result {
 		ConfigKey: r.ConfigKey,
 		Scale:     r.Scale,
 		Sampled:   true,
-		Cycles:    r.EstCycles,
-		Retired:   r.TotalInsts,
+		Counters:  pipeline.Counters{Cycles: r.EstCycles, Retired: r.TotalInsts},
 	}
 	if r.MeasuredRetired == 0 {
 		return est
@@ -857,15 +861,7 @@ func (r *Result) exactFallback(ctx context.Context, cfg pipeline.Config, prog *e
 		return err
 	}
 	r.ExactFallback = true
-	r.Windows = append(r.Windows, Window{
-		Cycles:          er.Cycles,
-		Retired:         er.Retired,
-		Mispredicted:    er.Mispredicted,
-		EarlyRecovered:  er.EarlyRecovered,
-		LateRecovered:   er.LateRecovered,
-		DecodeRedirects: er.DecodeRedirects,
-		Opt:             er.Opt,
-	})
+	r.Windows = append(r.Windows, measuredWindow(0, &pipeline.MeasuredWindow{Counters: er.Counters, Opt: er.Opt}))
 	r.finalize()
 	return nil
 }
@@ -876,25 +872,19 @@ func (r *Result) exactFallback(ctx context.Context, cfg pipeline.Config, prog *e
 // program ended during warmup (nil Measured) or at once — yields the
 // zero Window, whose Retired is 0.
 func windowOf(r *pipeline.Result, start uint64, sc Config) Window {
-	if sc.Warmup == 0 {
-		if r.Retired == 0 {
-			return Window{}
-		}
-		return Window{
-			StartInst:       start,
-			Cycles:          r.Cycles,
-			Retired:         r.Retired,
-			Mispredicted:    r.Mispredicted,
-			EarlyRecovered:  r.EarlyRecovered,
-			LateRecovered:   r.LateRecovered,
-			DecodeRedirects: r.DecodeRedirects,
-			Opt:             r.Opt,
-		}
-	}
 	mw := r.Measured
+	if sc.Warmup == 0 {
+		mw = &pipeline.MeasuredWindow{Counters: r.Counters, Opt: r.Opt}
+	}
 	if mw == nil || mw.Retired == 0 {
 		return Window{}
 	}
+	return measuredWindow(start, mw)
+}
+
+// measuredWindow is the one conversion from a session's measured region
+// to a Window seeded at dynamic instruction start.
+func measuredWindow(start uint64, mw *pipeline.MeasuredWindow) Window {
 	return Window{
 		StartInst:       start,
 		WarmupCycles:    mw.WarmupCycles,

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/pipeline"
 	"repro/internal/workloads"
 )
@@ -497,5 +498,25 @@ func TestRunPlannedGroupMatchesRunPlanned(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWindowOfCopiesEveryCounter pins the one conversion from a measured
+// region to a Window: every counter a Window has is copied, from
+// Measured when the regime has warmup and from the whole run when it
+// has none.
+func TestWindowOfCopiesEveryCounter(t *testing.T) {
+	c := pipeline.Counters{Cycles: 1, Retired: 2, Mispredicted: 3, EarlyRecovered: 4,
+		LateRecovered: 5, DecodeRedirects: 6, WindowStalls: 7, SchedStalls: 8, RegStalls: 9}
+	opt := core.Stats{Renamed: 10, EarlyExecuted: 11, LoadsRemoved: 12}
+	want := Window{StartInst: 100, Cycles: 1, Retired: 2, Mispredicted: 3, EarlyRecovered: 4,
+		LateRecovered: 5, DecodeRedirects: 6, Opt: opt}
+	if got := windowOf(&pipeline.Result{Counters: c, Opt: opt}, 100, Config{}); got != want {
+		t.Errorf("no-warmup window:\n got %+v\nwant %+v", got, want)
+	}
+	warm := &pipeline.Result{Measured: &pipeline.MeasuredWindow{WarmupCycles: 13, WarmupRetired: 14, Counters: c, Opt: opt}}
+	want.WarmupCycles, want.WarmupRetired = 13, 14
+	if got := windowOf(warm, 100, Config{Warmup: 1}); got != want {
+		t.Errorf("measured window:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -48,8 +48,9 @@
 // back in clear (so the store can be inspected, verified, and migrated
 // without external metadata), a SHA-256 checksum of the payload, and
 // the payload itself — the result struct encoded as JSON, which
-// round-trips every exported field of pipeline.Result (including
-// Intervals, Measured, Truncated and the optimizer counters) and
+// round-trips every exported field of pipeline.Result (including its
+// embedded pipeline.Counters, Intervals, Measured, Truncated and the
+// optimizer counters) and
 // sample.Result (including the window series and CI fields) exactly.
 //
 // Writes are atomic: the envelope is written to a temporary file in

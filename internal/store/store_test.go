@@ -352,7 +352,7 @@ func TestCorruptEntryDetected(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := openTemp(t)
 			k := ExactKey("cfg", "bench", 1, "w1")
-			if err := s.Put(k, &pipeline.Result{Cycles: 111}); err != nil {
+			if err := s.Put(k, &pipeline.Result{Counters: pipeline.Counters{Cycles: 111}}); err != nil {
 				t.Fatal(err)
 			}
 			if err := tc.scribble(entryFile(t, s)); err != nil {
@@ -367,7 +367,7 @@ func TestCorruptEntryDetected(t *testing.T) {
 				t.Errorf("Get = %v, want a CorruptError", err)
 			}
 			// A rewrite heals the entry.
-			if err := s.Put(k, &pipeline.Result{Cycles: 222}); err != nil {
+			if err := s.Put(k, &pipeline.Result{Counters: pipeline.Counters{Cycles: 222}}); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Get(k, &out); err != nil || out.Cycles != 222 {
@@ -381,7 +381,7 @@ func TestKeyMismatchDetected(t *testing.T) {
 	s := openTemp(t)
 	ka := ExactKey("cfg", "alpha", 1, "w1")
 	kb := ExactKey("cfg", "beta", 1, "w1")
-	if err := s.Put(ka, &pipeline.Result{Cycles: 1}); err != nil {
+	if err := s.Put(ka, &pipeline.Result{Counters: pipeline.Counters{Cycles: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a hand-moved file: alpha's entry at beta's address.
@@ -414,9 +414,9 @@ func TestConcurrentWriters(t *testing.T) {
 			// Half hammer one key (deterministic results write identical
 			// payloads), half write distinct keys.
 			if i%2 == 0 {
-				errs[i] = s.Put(shared, &pipeline.Result{Program: "shared", Cycles: 42})
+				errs[i] = s.Put(shared, &pipeline.Result{Program: "shared", Counters: pipeline.Counters{Cycles: 42}})
 			} else {
-				errs[i] = s.Put(ExactKey("cfg", fmt.Sprintf("b%d", i), 1, "w1"), &pipeline.Result{Cycles: uint64(i)})
+				errs[i] = s.Put(ExactKey("cfg", fmt.Sprintf("b%d", i), 1, "w1"), &pipeline.Result{Counters: pipeline.Counters{Cycles: uint64(i)}})
 			}
 		}(i)
 	}
@@ -444,7 +444,7 @@ func TestConcurrentWriters(t *testing.T) {
 
 func TestListStatGC(t *testing.T) {
 	s := openTemp(t)
-	if err := s.Put(ExactKey("cfg", "good", 2, "w1"), &pipeline.Result{Cycles: 1}); err != nil {
+	if err := s.Put(ExactKey("cfg", "good", 2, "w1"), &pipeline.Result{Counters: pipeline.Counters{Cycles: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Put(SampledKey("cfg", "good", 2, "p0.t16.w200.x0", "w1"), &sample.Result{EstCycles: 2}); err != nil {
