@@ -9,16 +9,21 @@ import (
 	"testing"
 
 	"repro/internal/exper"
+	"repro/internal/sample"
 )
 
-// TestArtifactsByteIdenticalToGolden pins the acceptance criterion of
-// the session redesign: Table1, Figure6 and Table3 must render byte
-// -identically to the outputs captured from the pre-session engine
-// (testdata/*_scale1.golden). The simulator is deterministic, so any
-// drift here means the new execution path changed machine behavior,
-// not just plumbing.
+// TestArtifactsByteIdenticalToGolden pins every paper artifact at
+// scale 1 to its captured output (testdata/*_scale1.golden): the
+// tables, Figure 6, the sensitivity figures, the ablations, the
+// discrete extension, and Figure 9 under the default sampling regime.
+// The simulator is deterministic, so any drift here means an execution
+// or formatting change altered what the paper's artifacts report, not
+// just plumbing. All rows share one engine, as "contopt all" does.
 func TestArtifactsByteIdenticalToGolden(t *testing.T) {
-	o := Options{Scale: 1, Engine: exper.NewRunner(0)}
+	eng := exper.NewRunner(0)
+	o := Options{Scale: 1, Engine: eng}
+	sc := sample.DefaultConfig()
+	so := Options{Scale: 1, Engine: eng, Sample: &sc}
 	for _, tc := range []struct {
 		golden string
 		render func(ctx context.Context, w *bytes.Buffer) error
@@ -26,6 +31,20 @@ func TestArtifactsByteIdenticalToGolden(t *testing.T) {
 		{"table1_scale1.golden", func(ctx context.Context, w *bytes.Buffer) error { return o.Table1(ctx, w) }},
 		{"figure6_scale1.golden", func(ctx context.Context, w *bytes.Buffer) error { return o.Figure6(ctx, w) }},
 		{"table3_scale1.golden", func(ctx context.Context, w *bytes.Buffer) error { return o.Table3(ctx, w) }},
+		{"figure8_scale1.golden", func(ctx context.Context, w *bytes.Buffer) error { return o.Figure8(ctx, w) }},
+		{"figure9_scale1.golden", func(ctx context.Context, w *bytes.Buffer) error { return o.Figure9(ctx, w) }},
+		{"figure10_scale1.golden", func(ctx context.Context, w *bytes.Buffer) error { return o.Figure10(ctx, w) }},
+		{"figure11_scale1.golden", func(ctx context.Context, w *bytes.Buffer) error { return o.Figure11(ctx, w) }},
+		{"figure12_scale1.golden", func(ctx context.Context, w *bytes.Buffer) error { return o.Figure12(ctx, w) }},
+		{"ablations_scale1.golden", func(ctx context.Context, w *bytes.Buffer) error {
+			if err := o.MBCSweep(ctx, w); err != nil {
+				return err
+			}
+			w.WriteString("\n")
+			return o.PolicySweep(ctx, w)
+		}},
+		{"discrete_scale1.golden", func(ctx context.Context, w *bytes.Buffer) error { return o.DiscreteSweep(ctx, w) }},
+		{"figure9_sampled_scale1.golden", func(ctx context.Context, w *bytes.Buffer) error { return so.Figure9(ctx, w) }},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
