@@ -16,22 +16,7 @@ import (
 // 256 and 1024 instructions bracket the frame sizes of rePLay-class
 // systems.
 func (o Options) DiscreteSweep(ctx context.Context, w io.Writer) error {
-	def := o.machine()
-	base := def.Baseline()
-	mk := func(window int) pipeline.Config {
-		c := def
-		c.Name = fmt.Sprintf("discrete%d", window)
-		c.Opt.DiscreteWindow = window
-		return c
-	}
-	return o.suiteSpeedups(ctx, w,
-		"Extension — continuous vs. discrete (offline-style) optimization (§3.4)",
-		base, []namedConfig{
-			{"continuous", def},
-			{"trace 1024", mk(1024)},
-			{"trace 256", mk(256)},
-			{"trace 64", mk(64)},
-		})
+	return o.specFigure(ctx, w, "discrete")
 }
 
 // DeadValues reports the fraction of destination values that were
@@ -41,9 +26,8 @@ func (o Options) DiscreteSweep(ctx context.Context, w io.Writer) error {
 // instruction stream" (which a Butts-Sohi-style eliminator could then
 // remove).
 func (o Options) DeadValues(ctx context.Context, w io.Writer) error {
-	def := o.machine()
-	base := def.Baseline()
-	runs, err := o.runMatrix(ctx, workloads.All(), []pipeline.Config{base, def})
+	def := pipeline.DefaultConfig()
+	runs, err := o.runMatrix(ctx, workloads.All(), []pipeline.Config{def.Baseline(), def})
 	if err != nil {
 		return err
 	}

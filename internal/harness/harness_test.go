@@ -5,12 +5,12 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/exper"
-	"repro/internal/pipeline"
 )
 
 // smallOpts runs every experiment at scale 1 so the whole file stays
@@ -387,12 +387,6 @@ func TestDeadValuesOptimizationIncreasesDeadFraction(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	var o Options
-	if o.machine().PRegs == 0 {
-		t.Error("machine should default to DefaultConfig")
-	}
-	if o.machine().Key() != pipeline.DefaultConfig().Key() {
-		t.Error("zero Machine should normalize to the default machine")
-	}
 	if o.engine() == nil {
 		t.Error("nil Engine should yield a private engine")
 	}
@@ -438,21 +432,22 @@ func TestArtifactsShareOneSimulationPerTriple(t *testing.T) {
 	}
 }
 
-func TestSuiteSpeedupsFormatting(t *testing.T) {
-	var buf bytes.Buffer
-	o := smallOpts()
-	def := o.machine()
-	err := o.suiteSpeedups(bg, &buf, "Title Line", def.Baseline(), []namedConfig{{"only", def}})
-	if err != nil {
-		t.Fatal(err)
+// TestSpecFilesAreSweeps loads every artifact spec from disk the way
+// "contopt sweep" does: each must be a valid sweep over the full
+// workload, since the figure layout prints every suite.
+func TestSpecFilesAreSweeps(t *testing.T) {
+	paths, err := filepath.Glob("specs/*.json")
+	if err != nil || len(paths) != 8 {
+		t.Fatalf("specs/*.json: %d files (%v), want 8", len(paths), err)
 	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "Title Line") {
-		t.Error("missing title")
-	}
-	for _, s := range []string{"SPECint", "SPECfp", "mediabench"} {
-		if !strings.Contains(out, s) {
-			t.Errorf("missing suite %s:\n%s", s, out)
+	for _, p := range paths {
+		spec, err := exper.LoadSpec(p)
+		if err != nil {
+			t.Errorf("%s: %v", p, err)
+			continue
+		}
+		if len(spec.Suites) != 0 || len(spec.Benchmarks) != 0 || spec.Scenarios != nil {
+			t.Errorf("%s: filters the workload; artifact specs run every benchmark", p)
 		}
 	}
 }

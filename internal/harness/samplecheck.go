@@ -88,7 +88,8 @@ func (o Options) SampleCheckData(ctx context.Context, names []string, toleranceP
 		return nil, err
 	}
 	eng := o.engine()
-	cfgs := []pipeline.Config{o.machine().Baseline(), o.machine()}
+	opt := pipeline.DefaultConfig()
+	cfgs := []pipeline.Config{opt.Baseline(), opt}
 
 	start := time.Now()
 	exact, err := eng.Matrix(ctx, benches, cfgs, o.Scale)
