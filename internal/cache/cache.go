@@ -40,16 +40,39 @@ type Cache struct {
 	Misses   uint64
 }
 
-// New builds a cache level. It panics on non-power-of-two geometry, which
-// indicates a configuration bug rather than a runtime condition.
-func New(cfg Config) *Cache {
-	if cfg.SizeB <= 0 || cfg.Assoc <= 0 || cfg.LineB <= 0 {
-		panic(fmt.Sprintf("cache %s: bad geometry %+v", cfg.Name, cfg))
+// Geometry ceilings, far above any cache this model describes: the LRU
+// state is one byte per way, and New allocates per line.
+const (
+	maxAssoc = 64
+	maxLineB = 1 << 16
+	maxLines = 1 << 20
+)
+
+// Validate reports geometry New cannot build: non-positive or
+// non-power-of-two sizes, or a level beyond the ceilings on ways, line
+// size and line count.
+func (cfg Config) Validate() error {
+	if cfg.SizeB <= 0 || cfg.Assoc <= 0 || cfg.LineB <= 0 ||
+		cfg.Assoc > maxAssoc || cfg.LineB > maxLineB {
+		return fmt.Errorf("cache %s: bad geometry %+v (ways 1..%d, line 1..%d bytes)", cfg.Name, cfg, maxAssoc, maxLineB)
 	}
 	sets := cfg.SizeB / (cfg.Assoc * cfg.LineB)
 	if sets <= 0 || sets&(sets-1) != 0 || cfg.LineB&(cfg.LineB-1) != 0 {
-		panic(fmt.Sprintf("cache %s: non-power-of-two geometry %+v", cfg.Name, cfg))
+		return fmt.Errorf("cache %s: non-power-of-two geometry %+v", cfg.Name, cfg)
 	}
+	if sets*cfg.Assoc > maxLines {
+		return fmt.Errorf("cache %s: %d lines above the ceiling %d", cfg.Name, sets*cfg.Assoc, maxLines)
+	}
+	return nil
+}
+
+// New builds a cache level. It panics on geometry Validate rejects,
+// which indicates a configuration bug rather than a runtime condition.
+func New(cfg Config) *Cache {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
+	sets := cfg.SizeB / (cfg.Assoc * cfg.LineB)
 	c := &Cache{cfg: cfg, sets: sets}
 	for c.cfg.LineB>>c.lineBits > 1 {
 		c.lineBits++

@@ -75,8 +75,15 @@ func TestBadGeometryPanics(t *testing.T) {
 		{SizeB: 100, Assoc: 2, LineB: 16}, // 100/(2*16) not a power of two
 		{SizeB: 128, Assoc: 2, LineB: 12}, // non-power-of-two line
 		{SizeB: 128, Assoc: 0, LineB: 16},
+		{SizeB: 32 << 10, Assoc: 3, LineB: 32},    // 341 sets
+		{SizeB: 1 << 30, Assoc: 2, LineB: 32},     // 32M lines
+		{SizeB: 256 << 10, Assoc: 256, LineB: 16}, // more ways than one LRU byte orders
+		{SizeB: 1 << 40, Assoc: 1, LineB: 1 << 40},
 	}
 	for _, cfg := range cases {
+		if cfg.Validate() == nil {
+			t.Errorf("Validate(%+v) accepted geometry New panics on", cfg)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -390,11 +390,17 @@ func setField(cfg *pipeline.Config, path string, val any) error {
 		if !ok || f != math.Trunc(f) {
 			return fmt.Errorf("config field %q: need an integer, got %v", path, val)
 		}
+		if f < -(1<<63) || f >= 1<<63 || v.OverflowInt(int64(f)) {
+			return fmt.Errorf("config field %q: %v out of range for %s", path, val, v.Type())
+		}
 		v.SetInt(int64(f))
 	case reflect.Uint, reflect.Uint64:
 		f, ok := val.(float64)
 		if !ok || f != math.Trunc(f) || f < 0 {
 			return fmt.Errorf("config field %q: need a non-negative integer, got %v", path, val)
+		}
+		if f >= 1<<64 || v.OverflowUint(uint64(f)) {
+			return fmt.Errorf("config field %q: %v out of range for %s", path, val, v.Type())
 		}
 		v.SetUint(uint64(f))
 	case reflect.Float64:

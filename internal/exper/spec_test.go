@@ -75,6 +75,13 @@ func TestParseSpecErrors(t *testing.T) {
 		{"bad mode name", `{"variants": [{"label": "a", "set": {"Opt.Mode": "turbo"}}]}`, "unknown mode"},
 		{"bad store policy", `{"variants": [{"label": "a", "set": {"Opt.StorePolicy": "yolo"}}]}`, "unknown store policy"},
 		{"invalid machine", `{"variants": [{"label": "a", "set": {"PRegs": 1}}]}`, "PRegs"},
+		{"huge regfile", `{"variants": [{"label": "a", "set": {"PRegs": 1e12}}]}`, "PRegs"},
+		{"huge window", `{"variants": [{"label": "a", "set": {"WindowSize": 1e12, "PRegs": 1e13}}]}`, "WindowSize"},
+		{"huge btb", `{"variants": [{"label": "a", "set": {"BPred.BTBEntries": 1e12}}]}`, "BTBEntries"},
+		{"bad cache geometry", `{"variants": [{"label": "a", "set": {"Caches.L1D.Assoc": 3}}]}`, "L1D"},
+		{"pht too wide", `{"variants": [{"label": "a", "set": {"BPred.IndexBits": 25}}]}`, "IndexBits"},
+		{"int out of range", `{"variants": [{"label": "a", "set": {"PRegs": 1e300}}]}`, "out of range"},
+		{"uint out of range", `{"variants": [{"label": "a", "set": {"FeedbackDelay": 1e20}}]}`, "out of range"},
 		{"bad reference", `{"reference": {"label": "r", "set": {"Nope": 1}}, "variants": [{"label": "a"}]}`, "reference"},
 	}
 	for _, c := range cases {

@@ -145,6 +145,17 @@ func (c *Config) MinBranchLoop() uint64 {
 		c.RegReadLat + 1 + c.RedirectLat
 }
 
+// Ceilings far above any machine this model describes. A session
+// allocates queues, tables and event wheels in proportion to these
+// fields, so a config from untrusted input (an HTTP sweep spec) must
+// stay below them to be simulated.
+const (
+	maxWidth     = 64      // per-cycle widths and unit counts
+	maxEntries   = 1 << 16 // window, schedulers, registers, MBC, BTB, RAS
+	maxLatency   = 1 << 10 // any stage, delay or cache latency, in cycles
+	maxIndexBits = 24      // predictor PHT index width
+)
+
 // Validate reports configuration errors that would make the machine
 // model meaningless or deadlock-prone. New panics on an invalid config;
 // callers building custom configurations can check explicitly.
@@ -166,6 +177,49 @@ func (c *Config) Validate() error {
 			c.NumComplexALU, c.NumFPALU)
 	case c.RegReadLat == 0:
 		return fmt.Errorf("pipeline: RegReadLat must be at least 1")
+	case c.BPred.IndexBits > maxIndexBits:
+		return fmt.Errorf("pipeline: BPred.IndexBits %d above %d", c.BPred.IndexBits, maxIndexBits)
+	}
+	for _, f := range []struct {
+		name    string
+		v, ceil int
+	}{
+		{"FetchWidth", c.FetchWidth, maxWidth},
+		{"RetireWidth", c.RetireWidth, maxWidth},
+		{"NumSimpleALU", c.NumSimpleALU, maxWidth},
+		{"NumComplexALU", c.NumComplexALU, maxWidth},
+		{"NumFPALU", c.NumFPALU, maxWidth},
+		{"NumAgen", c.NumAgen, maxWidth},
+		{"DCachePorts", c.DCachePorts, maxWidth},
+		{"WindowSize", c.WindowSize, maxEntries},
+		{"SchedEntries", c.SchedEntries, maxEntries},
+		{"PRegs", c.PRegs, maxEntries},
+		{"Opt.MBCEntries", c.Opt.MBCEntries, maxEntries},
+		{"BPred.BTBEntries", c.BPred.BTBEntries, maxEntries},
+		{"BPred.RASEntries", c.BPred.RASEntries, maxEntries},
+	} {
+		if f.v > f.ceil {
+			return fmt.Errorf("pipeline: %s %d above the ceiling %d", f.name, f.v, f.ceil)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    uint64
+	}{
+		{"FrontLat", c.FrontLat}, {"RenameLat", c.RenameLat}, {"OptStages", c.OptStages},
+		{"DispatchLat", c.DispatchLat}, {"SchedMinLat", c.SchedMinLat}, {"RegReadLat", c.RegReadLat},
+		{"RedirectLat", c.RedirectLat}, {"FeedbackDelay", c.FeedbackDelay},
+		{"Caches.L1I.Latency", c.Caches.L1I.Latency}, {"Caches.L1D.Latency", c.Caches.L1D.Latency},
+		{"Caches.L2.Latency", c.Caches.L2.Latency}, {"Caches.MemLatency", c.Caches.MemLatency},
+	} {
+		if f.v > maxLatency {
+			return fmt.Errorf("pipeline: %s %d above the ceiling %d", f.name, f.v, maxLatency)
+		}
+	}
+	for _, l := range []cache.Config{c.Caches.L1I, c.Caches.L1D, c.Caches.L2} {
+		if err := l.Validate(); err != nil {
+			return fmt.Errorf("pipeline: %w", err)
+		}
 	}
 	// The register file must cover the architectural state, the window's
 	// worst-case in-flight destinations, and slack for table-extended

@@ -34,6 +34,15 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"no fp", func(c *Config) { c.NumFPALU = 0 }, "complex/FP"},
 		{"no regread", func(c *Config) { c.RegReadLat = 0 }, "RegReadLat"},
 		{"small regfile", func(c *Config) { c.PRegs = 100 }, "PRegs"},
+		{"huge regfile", func(c *Config) { c.PRegs = 1e12 }, "PRegs"},
+		{"huge window", func(c *Config) { c.WindowSize, c.PRegs = 1e12, 1e13 }, "WindowSize"},
+		{"huge btb", func(c *Config) { c.BPred.BTBEntries = 1e12 }, "BTBEntries"},
+		{"wide fetch", func(c *Config) { c.FetchWidth = 1 << 20 }, "FetchWidth"},
+		{"huge latency", func(c *Config) { c.Caches.MemLatency = 1 << 40 }, "MemLatency"},
+		{"huge feedback delay", func(c *Config) { c.FeedbackDelay = 1 << 62 }, "FeedbackDelay"},
+		{"pht too wide", func(c *Config) { c.BPred.IndexBits = 25 }, "IndexBits"},
+		{"3-way L1D", func(c *Config) { c.Caches.L1D.Assoc = 3 }, "L1D"},
+		{"huge L2", func(c *Config) { c.Caches.L2.SizeB = 1 << 40 }, "L2"},
 	}
 	for _, m := range mutate {
 		t.Run(m.name, func(t *testing.T) {

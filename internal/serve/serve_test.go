@@ -217,6 +217,7 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 		`{"slo": "gold", "spec": {"variants": [{"label": "x"}]}}`,          // unknown class
 		`{"spec": {"variants": []}}`,                                       // invalid spec
 		`{"spec": {"benchmarks": ["nope"], "variants": [{"label": "x"}]}}`, // unknown benchmark
+		`{"spec": {"variants": [{"label": "x", "set": {"PRegs": 1e12}}]}}`, // machine too large to build
 		`{}`, // no spec at all
 	}
 	for _, body := range cases {
