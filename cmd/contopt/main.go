@@ -326,24 +326,28 @@ func run(ctx context.Context, args []string) error {
 	opts := harness.Options{Scale: *scale, Engine: engine, Sample: sampleCfg}
 	out := os.Stdout
 
-	experiments := map[string]func(context.Context) error{
-		"table1":   func(ctx context.Context) error { return opts.Table1(ctx, out) },
-		"figure6":  func(ctx context.Context) error { return opts.Figure6(ctx, out) },
-		"table3":   func(ctx context.Context) error { return opts.Table3(ctx, out) },
-		"figure8":  func(ctx context.Context) error { return opts.Figure8(ctx, out) },
-		"figure9":  func(ctx context.Context) error { return opts.Figure9(ctx, out) },
-		"figure10": func(ctx context.Context) error { return opts.Figure10(ctx, out) },
-		"figure11": func(ctx context.Context) error { return opts.Figure11(ctx, out) },
-		"figure12": func(ctx context.Context) error { return opts.Figure12(ctx, out) },
-		"ablations": func(ctx context.Context) error {
+	// The paper's artifacts, in "all" order; each is also a command.
+	artifacts := []struct {
+		name string
+		run  func(context.Context) error
+	}{
+		{"table1", func(ctx context.Context) error { return opts.Table1(ctx, out) }},
+		{"figure6", func(ctx context.Context) error { return opts.Figure6(ctx, out) }},
+		{"table3", func(ctx context.Context) error { return opts.Table3(ctx, out) }},
+		{"figure8", func(ctx context.Context) error { return opts.Figure8(ctx, out) }},
+		{"figure9", func(ctx context.Context) error { return opts.Figure9(ctx, out) }},
+		{"figure10", func(ctx context.Context) error { return opts.Figure10(ctx, out) }},
+		{"figure11", func(ctx context.Context) error { return opts.Figure11(ctx, out) }},
+		{"figure12", func(ctx context.Context) error { return opts.Figure12(ctx, out) }},
+		{"ablations", func(ctx context.Context) error {
 			if err := opts.MBCSweep(ctx, out); err != nil {
 				return err
 			}
 			fmt.Fprintln(out)
 			return opts.PolicySweep(ctx, out)
-		},
-		"discrete": func(ctx context.Context) error { return opts.DiscreteSweep(ctx, out) },
-		"dead":     func(ctx context.Context) error { return opts.DeadValues(ctx, out) },
+		}},
+		{"discrete", func(ctx context.Context) error { return opts.DiscreteSweep(ctx, out) }},
+		{"dead", func(ctx context.Context) error { return opts.DeadValues(ctx, out) }},
 	}
 
 	switch cmd {
@@ -425,24 +429,25 @@ func run(ctx context.Context, args []string) error {
 	case "verify":
 		return verify(ctx, out, *scale)
 	case "all":
-		names := []string{"table1", "figure6", "table3", "figure8",
-			"figure9", "figure10", "figure11", "figure12",
-			"ablations", "discrete", "dead"}
-		for i, name := range names {
+		var done []string
+		for _, a := range artifacts {
 			start := time.Now()
-			if err := experiments[name](ctx); err != nil {
+			if err := a.run(ctx); err != nil {
 				if ctx.Err() != nil {
 					fmt.Fprintf(os.Stderr, "contopt: interrupted during %s; %d/%d artifacts completed (%v)\n",
-						name, i, len(names), names[:i])
+						a.name, len(done), len(artifacts), done)
 				}
 				return err
 			}
-			fmt.Fprintf(out, "[%s in %.1fs]\n\n", name, time.Since(start).Seconds())
+			done = append(done, a.name)
+			fmt.Fprintf(out, "[%s in %.1fs]\n\n", a.name, time.Since(start).Seconds())
 		}
 		return nil
 	default:
-		if fn, ok := experiments[cmd]; ok {
-			return fn(ctx)
+		for _, a := range artifacts {
+			if a.name == cmd {
+				return a.run(ctx)
+			}
 		}
 		usage()
 		return fmt.Errorf("unknown command %q", cmd)
