@@ -13,6 +13,8 @@
 //	contopt figure8|figure9|figure10|figure11|figure12
 //	                                  machine-model and sensitivity studies
 //	contopt ablations                 MBC sweep + policy toggles (beyond paper)
+//	                                  (figures 8-12 and the ablations are the
+//	                                  sweep specs in internal/harness/specs/)
 //	contopt sweep <spec.json>         run a user-defined sweep spec
 //	contopt sweep -shard i/n|-merge   shard a sweep across processes via
 //	                                  the shared store, then merge
@@ -723,7 +725,8 @@ commands:
   figure11    optimizer latency sensitivity
   figure12    feedback delay sensitivity
   ablations   MBC capacity + policy sweeps (beyond the paper)
-  sweep <f>   run a user-defined JSON sweep spec (see examples/sweeps/);
+  sweep <f>   run a JSON sweep spec (see examples/sweeps/; the paper's
+              figures are specs too, in internal/harness/specs/);
               -shard i/n simulates one process's slice through -store,
               -merge prints the finished table from the store
   discrete    continuous vs. offline-style (trace-flushed) optimization

@@ -81,6 +81,7 @@ func TestParseSpecErrors(t *testing.T) {
 		{"bad cache geometry", `{"variants": [{"label": "a", "set": {"Caches.L1D.Assoc": 3}}]}`, "L1D"},
 		{"pht too wide", `{"variants": [{"label": "a", "set": {"BPred.IndexBits": 25}}]}`, "IndexBits"},
 		{"int out of range", `{"variants": [{"label": "a", "set": {"PRegs": 1e300}}]}`, "out of range"},
+		{"mode number out of range", `{"variants": [{"label": "a", "set": {"Opt.Mode": 7}}]}`, "Opt.Mode"},
 		{"uint out of range", `{"variants": [{"label": "a", "set": {"FeedbackDelay": 1e20}}]}`, "out of range"},
 		{"bad reference", `{"reference": {"label": "r", "set": {"Nope": 1}}, "variants": [{"label": "a"}]}`, "reference"},
 	}

@@ -4,7 +4,17 @@
 //
 // One function per paper artifact: Table1, Figure6, Table3, Figure8,
 // Figure9, Figure10, Figure11, Figure12, plus ablations beyond the paper
-// (MBC size, store policy, minor-optimization toggles).
+// (MBC size, store policy, minor-optimization toggles) and extensions
+// (discrete optimization, dead values).
+//
+// The speedup artifacts — Figures 8–12, MBCSweep, PolicySweep and
+// DiscreteSweep — are exper sweep specs: JSON files in specs/, embedded
+// in the binary, whose variants are deltas from the paper's default
+// machine. Each method resolves its spec and prints the paper's
+// per-suite geomean table. The files are ordinary sweep specs, so
+// "contopt sweep specs/figure9.json" runs the same cells with the sweep
+// table layout, and -shard/-merge, -sample and POST /v1/sweeps accept
+// them unchanged.
 //
 // All simulation goes through the exper engine: every artifact asks an
 // exper.Runner for its (config, benchmark, scale) cells, and the runner

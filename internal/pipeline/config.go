@@ -157,8 +157,9 @@ const (
 )
 
 // Validate reports configuration errors that would make the machine
-// model meaningless or deadlock-prone. New panics on an invalid config;
-// callers building custom configurations can check explicitly.
+// model meaningless, deadlock-prone or unbuildable. New reports an
+// invalid config as an error; callers building custom configurations
+// can check explicitly.
 func (c *Config) Validate() error {
 	switch {
 	case c.FetchWidth <= 0:
@@ -177,6 +178,10 @@ func (c *Config) Validate() error {
 			c.NumComplexALU, c.NumFPALU)
 	case c.RegReadLat == 0:
 		return fmt.Errorf("pipeline: RegReadLat must be at least 1")
+	case c.Opt.Mode < core.ModeBaseline || c.Opt.Mode > core.ModeFull:
+		return fmt.Errorf("pipeline: unknown Opt.Mode %d", c.Opt.Mode)
+	case c.Opt.StorePolicy != core.StoreSpeculate && c.Opt.StorePolicy != core.StoreFlush:
+		return fmt.Errorf("pipeline: unknown Opt.StorePolicy %d", c.Opt.StorePolicy)
 	case c.BPred.IndexBits > maxIndexBits:
 		return fmt.Errorf("pipeline: BPred.IndexBits %d above %d", c.BPred.IndexBits, maxIndexBits)
 	}

@@ -41,6 +41,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"huge latency", func(c *Config) { c.Caches.MemLatency = 1 << 40 }, "MemLatency"},
 		{"huge feedback delay", func(c *Config) { c.FeedbackDelay = 1 << 62 }, "FeedbackDelay"},
 		{"pht too wide", func(c *Config) { c.BPred.IndexBits = 25 }, "IndexBits"},
+		{"unknown mode", func(c *Config) { c.Opt.Mode = 7 }, "Opt.Mode"},
+		{"unknown store policy", func(c *Config) { c.Opt.StorePolicy = 5 }, "StorePolicy"},
 		{"3-way L1D", func(c *Config) { c.Caches.L1D.Assoc = 3 }, "L1D"},
 		{"huge L2", func(c *Config) { c.Caches.L2.SizeB = 1 << 40 }, "L2"},
 	}
